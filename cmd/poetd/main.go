@@ -390,6 +390,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Signals are caught from here on, before /readyz turns 200: a
+	// supervisor that stops a daemon it saw ready must get the graceful
+	// shutdown, not the default kill. They wait in sig until waitLoop.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM, syscall.SIGUSR1)
 	ready.Store(true)
 	log.Printf("listening on %s", addr)
 
@@ -545,8 +550,6 @@ func run() error {
 		return nil
 	}
 
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM, syscall.SIGUSR1)
 	drain := false
 waitLoop:
 	for {

@@ -192,10 +192,10 @@ func (p *Proxy) CutAll() int {
 		links = append(links, l)
 	}
 	p.mu.Unlock()
+	p.resets.Add(int64(len(links)))
 	for _, l := range links {
 		l.reset()
 	}
-	p.resets.Add(int64(len(links)))
 	return len(links)
 }
 
@@ -204,7 +204,7 @@ type Stats struct {
 	Conns  int   // total connections accepted
 	Live   int   // connections currently proxied
 	Resets int   // connections reset by CutAll or a kill budget
-	Bytes  int64 // bytes forwarded, both directions combined
+	Bytes  int64 // bytes forwarded (counted as each write is issued), both directions combined
 }
 
 // Stats returns a snapshot of the proxy's counters.
@@ -335,14 +335,18 @@ func (p *Proxy) forward(l *link, dst net.Conn, b []byte) bool {
 			}
 		}
 		if len(w) > 0 {
+			// Counted before the write, like resets below: a peer that
+			// has read the bytes must find them in Stats.
+			p.bytes.Add(int64(len(w)))
 			if _, err := dst.Write(w); err != nil {
 				return false
 			}
-			p.bytes.Add(int64(len(w)))
 		}
 		if killing {
-			l.reset()
+			// Count before tearing down: a peer that observes the reset
+			// must find it in Stats.
 			p.resets.Add(1)
+			l.reset()
 			return false
 		}
 		b = b[len(w):]

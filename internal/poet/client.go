@@ -155,6 +155,10 @@ type ReporterStats struct {
 	// Failovers counts moves to a different endpoint in the pool
 	// (connection failures on the current endpoint and drain notices).
 	Failovers int
+	// Flushes counts socket writes carrying event and heartbeat frames:
+	// every event unsent when the sender wakes goes out in one write
+	// (more when the batch outgrows the 4 KiB buffer).
+	Flushes int
 }
 
 // Reporter is a target-side connection to a POET server: instrumented
@@ -186,8 +190,14 @@ type Reporter struct {
 	unacked []RawEvent
 	sent    int
 	// acks is the latest per-trace contiguous ack from the server.
-	acks   map[string]int
-	closed bool
+	acks map[string]int
+	// acksMoved is set when the reader or a handshake advanced an ack;
+	// the next prune then rescans the whole buffer. Otherwise only
+	// unacked[checked:], the events appended since the last prune, can
+	// hold an acked event, and only they are checked.
+	acksMoved bool
+	checked   int
+	closed    bool
 	// failed is the permanent failure, if any; Report and Flush return it.
 	failed error
 	stats  ReporterStats
@@ -198,10 +208,11 @@ type Reporter struct {
 	closeCh chan struct{}
 	// done closes when the sender goroutine exits.
 	done chan struct{}
+	wire frameStats
 
 	// initial connection, handed to the sender.
 	conn   net.Conn
-	enc    *gob.Encoder
+	fw     *frameWriter
 	broken chan struct{}
 }
 
@@ -235,13 +246,13 @@ func DialReporter(addr string, opts ...ReporterOption) (*Reporter, error) {
 	// fails fast, a partially degraded one lands on a healthy endpoint.
 	var (
 		conn   net.Conn
-		enc    *gob.Encoder
+		fw     *frameWriter
 		broken chan struct{}
 	)
 	for i := 0; ; i++ {
 		ep := r.eps.Pick()
 		var err error
-		conn, enc, broken, err = r.handshake(ep)
+		conn, fw, broken, err = r.handshake(ep)
 		if err == nil {
 			r.eps.Success(ep)
 			break
@@ -254,7 +265,7 @@ func DialReporter(addr string, opts ...ReporterOption) (*Reporter, error) {
 			return nil, fmt.Errorf("poet reporter: %w", r.eps.ErrorSummary())
 		}
 	}
-	r.conn, r.enc, r.broken = conn, enc, broken
+	r.conn, r.fw, r.broken = conn, fw, broken
 	go r.sender()
 	return r, nil
 }
@@ -262,7 +273,7 @@ func DialReporter(addr string, opts ...ReporterOption) (*Reporter, error) {
 // handshake dials one endpoint, sends the hello (naming the traces with
 // unacked events), reads the helloAck, and spawns the ack reader. Called
 // from DialReporter and, on the sender goroutine, from reconnect.
-func (r *Reporter) handshake(addr string) (net.Conn, *gob.Encoder, chan struct{}, error) {
+func (r *Reporter) handshake(addr string) (net.Conn, *frameWriter, chan struct{}, error) {
 	conn, err := net.DialTimeout("tcp", addr, r.cfg.dialTimeout)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("dial: %w", err)
@@ -277,9 +288,8 @@ func (r *Reporter) handshake(addr string) (net.Conn, *gob.Encoder, chan struct{}
 		}
 	}
 	r.mu.Unlock()
-	enc := gob.NewEncoder(conn)
-	_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.writeTimeout))
-	if err := enc.Encode(hello{Magic: wireMagic, Role: roleTarget, Traces: names}); err != nil {
+	fw := newFrameWriter(conn, nil, r.cfg.writeTimeout, &r.wire)
+	if err := fw.Send(hello{Magic: wireMagic, Role: roleTarget, Traces: names}); err != nil {
 		_ = conn.Close()
 		return nil, nil, nil, fmt.Errorf("hello: %w", err)
 	}
@@ -310,18 +320,14 @@ func (r *Reporter) handshake(addr string) (net.Conn, *gob.Encoder, chan struct{}
 		return nil, nil, nil, fmt.Errorf("%w: %s", ErrSessionRejected, ack.Error)
 	}
 	r.mu.Lock()
-	for _, ta := range ack.Acks {
-		if ta.Seq > r.acks[ta.Trace] {
-			r.acks[ta.Trace] = ta.Seq
-		}
-	}
+	r.raiseAcksLocked(ack.Acks)
 	// Everything on the new connection is unsent; the sender prunes
 	// acked entries and retransmits the remainder.
 	r.sent = 0
 	r.mu.Unlock()
 	broken := make(chan struct{})
 	go r.reader(conn, addr, dec, broken)
-	return conn, enc, broken, nil
+	return conn, fw, broken, nil
 }
 
 // reader consumes server acks on one connection, pruning is left to the
@@ -350,11 +356,7 @@ func (r *Reporter) reader(conn net.Conn, addr string, dec *gob.Decoder, broken c
 			return
 		}
 		r.mu.Lock()
-		for _, ta := range ack.Acks {
-			if ta.Seq > r.acks[ta.Trace] {
-				r.acks[ta.Trace] = ta.Seq
-			}
-		}
+		r.raiseAcksLocked(ack.Acks)
 		r.mu.Unlock()
 		r.signal()
 		if ack.Drain && r.eps.HealthyAlternative(addr) {
@@ -392,17 +394,34 @@ func (r *Reporter) fail(err error) {
 	r.signal()
 }
 
+// raiseAcksLocked merges server acks, flagging a full rescan when any
+// of them advanced.
+func (r *Reporter) raiseAcksLocked(acks []traceAck) {
+	for _, ta := range acks {
+		if ta.Seq > r.acks[ta.Trace] {
+			r.acks[ta.Trace] = ta.Seq
+			r.acksMoved = true
+		}
+	}
+}
+
 // prune drops acked entries from the buffer. Sender-only (it adjusts
-// sent).
+// sent and compacts the buffer in place). The whole buffer is rescanned
+// only after an ack advanced; otherwise only the events appended since
+// the last prune are checked, so an event reported at or below its
+// trace's ack is still dropped without a full scan.
 func (r *Reporter) prune() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.acks) == 0 || len(r.unacked) == 0 {
+	if len(r.acks) == 0 {
 		return
 	}
-	kept := 0
-	newSent := 0
-	for i := range r.unacked {
+	from := r.checked
+	if r.acksMoved {
+		from, r.acksMoved = 0, false
+	}
+	kept, newSent := from, min(from, r.sent)
+	for i := from; i < len(r.unacked); i++ {
 		if r.unacked[i].Seq <= r.acks[r.unacked[i].Trace] {
 			r.stats.Acked++
 			continue
@@ -418,6 +437,7 @@ func (r *Reporter) prune() {
 		r.sent = newSent
 		r.cond.Broadcast()
 	}
+	r.checked = kept
 }
 
 // sender owns the connection: it streams unsent events, heartbeats when
@@ -425,11 +445,11 @@ func (r *Reporter) prune() {
 // dies.
 func (r *Reporter) sender() {
 	defer close(r.done)
-	conn, enc, broken := r.conn, r.enc, r.broken
+	conn, fw, broken := r.conn, r.fw, r.broken
 	disconnect := func() {
 		if conn != nil {
 			_ = conn.Close()
-			conn, enc, broken = nil, nil, nil
+			conn, fw, broken = nil, nil, nil
 		}
 	}
 	defer disconnect()
@@ -450,19 +470,19 @@ func (r *Reporter) sender() {
 			return
 		}
 		if conn == nil {
-			c, e, b, err := r.reconnect()
+			c, f, b, err := r.reconnect()
 			if err != nil {
 				if !errors.Is(err, ErrClientClosed) {
 					r.fail(fmt.Errorf("poet reporter: %w (cause: %v)", ErrStreamInterrupted, err))
 				}
 				return
 			}
-			conn, enc, broken = c, e, b
+			conn, fw, broken = c, f, b
 			backoff.ResetTimer(hb, r.cfg.heartbeat)
 			continue // re-prune with the handshake acks before sending
 		}
 		if pending {
-			if !r.sendPending(conn, enc) {
+			if !r.sendPending(fw) {
 				disconnect()
 				continue
 			}
@@ -474,8 +494,7 @@ func (r *Reporter) sender() {
 		case <-broken:
 			disconnect()
 		case <-hb.C:
-			_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.writeTimeout))
-			if err := enc.Encode(&targetMsg{Heartbeat: true}); err != nil {
+			if err := fw.Send(&targetMsg{Heartbeat: true}); err != nil {
 				r.cfg.logf("poet reporter: heartbeat to %s failed: %v", r.addr, err)
 				disconnect()
 			}
@@ -484,32 +503,37 @@ func (r *Reporter) sender() {
 	}
 }
 
-// sendPending transmits every currently unsent event. Returns false on a
-// transport error (the caller reconnects).
-func (r *Reporter) sendPending(conn net.Conn, enc *gob.Encoder) bool {
-	for {
-		r.mu.Lock()
-		if r.sent >= len(r.unacked) {
-			r.mu.Unlock()
-			return true
+// sendPending encodes every currently unsent event and flushes them in
+// one write. Returns false on a transport error (the caller reconnects).
+//
+// The batch is read without the lock: Report only appends past its
+// end, and only the sender (this goroutine, in prune) rewrites entries.
+func (r *Reporter) sendPending(fw *frameWriter) bool {
+	r.mu.Lock()
+	batch := r.unacked[r.sent:]
+	r.mu.Unlock()
+	err := fw.Batch(func(queue func(any) error) error {
+		for i := range batch {
+			if err := queue(&targetMsg{Event: &batch[i]}); err != nil {
+				return err
+			}
 		}
-		ev := r.unacked[r.sent]
-		r.mu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.writeTimeout))
-		if err := enc.Encode(&targetMsg{Event: &ev}); err != nil {
-			r.cfg.logf("poet reporter: send to %s failed: %v", r.addr, err)
-			return false
-		}
-		r.mu.Lock()
-		r.sent++
-		r.mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		r.cfg.logf("poet reporter: send to %s failed: %v", r.addr, err)
+		return false
 	}
+	r.mu.Lock()
+	r.sent += len(batch)
+	r.mu.Unlock()
+	return true
 }
 
 // reconnect redials with backoff — rotating through the endpoint pool,
 // sleeping only when a whole round has failed — until the budget is
 // exhausted. Runs on the sender goroutine.
-func (r *Reporter) reconnect() (net.Conn, *gob.Encoder, chan struct{}, error) {
+func (r *Reporter) reconnect() (net.Conn, *frameWriter, chan struct{}, error) {
 	if r.cfg.reconnectBudget <= 0 {
 		return nil, nil, nil, errors.New("reconnection disabled")
 	}
@@ -522,7 +546,7 @@ func (r *Reporter) reconnect() (net.Conn, *gob.Encoder, chan struct{}, error) {
 			return nil, nil, nil, ErrClientClosed
 		}
 		ep := r.eps.Pick()
-		conn, enc, broken, err := r.handshake(ep)
+		conn, fw, broken, err := r.handshake(ep)
 		if err == nil {
 			r.eps.Success(ep)
 			r.mu.Lock()
@@ -536,7 +560,7 @@ func (r *Reporter) reconnect() (net.Conn, *gob.Encoder, chan struct{}, error) {
 			r.stats.Retransmits += retrans
 			r.mu.Unlock()
 			r.cfg.logf("poet reporter: reconnected to %s (retransmitting %d unacked events)", ep, retrans)
-			return conn, enc, broken, nil
+			return conn, fw, broken, nil
 		}
 		if errors.Is(err, ErrSessionRejected) {
 			// Terminal: the server understood the session and refused it
@@ -605,6 +629,7 @@ func (r *Reporter) Stats() ReporterStats {
 	s := r.stats
 	r.mu.Unlock()
 	s.Failovers = int(r.eps.Failovers())
+	s.Flushes = int(r.wire.flushes.Load())
 	return s
 }
 

@@ -332,8 +332,10 @@ func TestMonitorReconnectBudgetExhausted(t *testing.T) {
 	}
 
 	// Take the server away entirely; the proxy refuses new sessions too.
-	_ = srv.Close()
+	// The proxy goes first: a graceful server Close sends an End frame,
+	// which must not reach the client ahead of the outage.
 	_ = p.Close()
+	_ = srv.Close()
 	_, err = mon.Next()
 	if err == nil || err == io.EOF {
 		t.Fatalf("Next after permanent outage = %v, want budget-exhausted interruption", err)

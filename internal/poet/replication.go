@@ -318,22 +318,18 @@ func (c *Collector) replRecordsFrom(idx int) (recs []repRecord, next, head int, 
 // barriers.
 func (s *Server) handleReplica(conn net.Conn, dec *gob.Decoder, h hello) error {
 	c := s.collector
-	enc := gob.NewEncoder(conn)
-	sendHello := func(ack helloAck) error {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		return enc.Encode(&ack)
-	}
+	fw := s.newFrameWriter(conn, nil)
 	if !c.ReplicationStats().Enabled {
 		msg := "replication log not enabled on this collector"
-		_ = sendHello(helloAck{Error: msg})
+		_ = fw.Send(&helloAck{Error: msg})
 		return fmt.Errorf("replica %s: %s", conn.RemoteAddr(), msg)
 	}
 	idx, err := c.replResumeIndex(h.ReplicaFrom)
 	if err != nil {
-		_ = sendHello(helloAck{Error: err.Error()})
+		_ = fw.Send(&helloAck{Error: err.Error()})
 		return fmt.Errorf("replica %s: %v", conn.RemoteAddr(), err)
 	}
-	if err := sendHello(helloAck{OK: true}); err != nil {
+	if err := fw.Send(&helloAck{OK: true}); err != nil {
 		return fmt.Errorf("replica hello ack: %w", err)
 	}
 	s.replicaSessions.Add(1)
@@ -368,41 +364,44 @@ func (s *Server) handleReplica(conn net.Conn, dec *gob.Decoder, h hello) error {
 		}
 	}()
 
-	writeMsg := func(msg *wireMsg) error {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		return enc.Encode(msg)
-	}
 	goodbye := func() error {
 		// Drain precedes End: the replica takes it as the primary's
 		// clean handoff and promotes.
-		if err := writeMsg(&wireMsg{Drain: true}); err != nil {
+		if err := fw.Send(&wireMsg{Drain: true}); err != nil {
 			return err
 		}
-		return writeMsg(&wireMsg{End: true})
+		return fw.Send(&wireMsg{End: true})
 	}
 	hb := time.NewTimer(s.hbInterval)
 	defer hb.Stop()
 	for {
 		recs, next, head, ch := c.replRecordsFrom(idx)
-		for i := range recs {
-			msg := wireMsg{Head: head}
-			switch {
-			case recs[i].Trace != "":
-				msg.Trace = &wireTrace{Name: recs[i].Trace}
-			case recs[i].Remote != nil:
-				rs := recs[i].Remote
-				w := toWire(&event.Event{ID: rs.ID, VC: rs.VC})
-				w.MsgID = rs.MsgID
-				msg.Shard = w
-			default:
-				msg.Raw = &recs[i].Event
-				s.replicaEvents.Add(1)
-				s.tel.replicaEvents.Inc()
+		// The whole batch leaves in one flush, before parking.
+		err := fw.Batch(func(queue func(any) error) error {
+			for i := range recs {
+				msg := wireMsg{Head: head}
+				switch {
+				case recs[i].Trace != "":
+					msg.Trace = &wireTrace{Name: recs[i].Trace}
+				case recs[i].Remote != nil:
+					rs := recs[i].Remote
+					w := toWire(&event.Event{ID: rs.ID, VC: rs.VC})
+					w.MsgID = rs.MsgID
+					msg.Shard = w
+				default:
+					msg.Raw = &recs[i].Event
+					s.replicaEvents.Add(1)
+					s.tel.replicaEvents.Inc()
+				}
+				if err := queue(&msg); err != nil {
+					return err
+				}
 			}
-			if err := writeMsg(&msg); err != nil {
-				<-readerDone
-				return fmt.Errorf("encoding to replica: %w", err)
-			}
+			return nil
+		})
+		if err != nil {
+			<-readerDone
+			return fmt.Errorf("encoding to replica: %w", err)
 		}
 		idx = next
 		if len(recs) > 0 {
@@ -415,7 +414,7 @@ func (s *Server) handleReplica(conn net.Conn, dec *gob.Decoder, h hello) error {
 		case <-ch:
 		case <-hb.C:
 			hb.Reset(s.hbInterval)
-			if err := writeMsg(&wireMsg{Heartbeat: true, Head: head}); err != nil {
+			if err := fw.Send(&wireMsg{Heartbeat: true, Head: head}); err != nil {
 				<-readerDone
 				return fmt.Errorf("heartbeat to replica: %w", err)
 			}

@@ -75,6 +75,8 @@ type Server struct {
 	// (see Shedding, which readiness probes consult).
 	sheddingConns atomic.Int64
 	overloadWait  time.Duration
+	// wire counts frames and socket writes on every server stream link.
+	wire frameStats
 
 	// tel mirrors the wire counters into a telemetry registry; all nil
 	// (no-op) until InstrumentMetrics.
@@ -160,7 +162,8 @@ type WireStats struct {
 	// StaleEvents counts retransmitted events ignored as idempotent
 	// no-ops (ErrStaleEvent from the collector on the wire path).
 	StaleEvents int
-	// AcksSent counts serverAck frames sent to targets.
+	// AcksSent counts serverAck frames sent to targets (counted as each
+	// is handed to the connection).
 	AcksSent int
 	// Heartbeats counts idle keep-alive frames sent to monitors.
 	Heartbeats int
@@ -207,6 +210,13 @@ type WireStats struct {
 	// Drains counts Drain invocations (0 or 1 in practice: draining is
 	// terminal).
 	Drains int
+	// Frames counts frames sent on server stream links (target acks,
+	// monitor, replica and shard streams, handshakes included).
+	Frames int
+	// Flushes counts the socket writes that carried those frames: one
+	// per drained batch, more when a batch outgrows the 4 KiB buffer.
+	// Frames/Flushes is the links' coalescing factor.
+	Flushes int
 }
 
 // serverMetrics are the wire layer's instruments. All fields are nil
@@ -264,6 +274,8 @@ func (s *Server) InstrumentMetrics(reg *telemetry.Registry) {
 		shardVCEntries: reg.Counter("poet_wire_shard_vc_entries_total", "Vector-timestamp entries sent on shard sessions (changed entries on delta sessions)."),
 		drains:         reg.Counter("poet_wire_drains_total", "Drain invocations (orderly shutdowns announced to peers)."),
 	}
+	s.wire.telFrames = reg.Counter("poet_wire_frames_total", "Frames sent on server stream links (acks, monitor, replica and shard streams, handshakes).")
+	s.wire.telFlushes = reg.Counter("poet_wire_flushes_total", "Socket writes on server stream links: one per drained batch of frames, more when a batch outgrows the 4 KiB buffer.")
 	reg.GaugeFunc("poet_wire_shedding_connections", "Target connections currently parked in the overload retry loop.", func() int64 {
 		return s.sheddingConns.Load()
 	})
@@ -297,6 +309,8 @@ func (s *Server) WireStats() WireStats {
 		ShardRecords:    int(s.shardRecords.Load()),
 		ShardVCEntries:  int(s.shardVCEntries.Load()),
 		Drains:          int(s.drains.Load()),
+		Frames:          int(s.wire.frames.Load()),
+		Flushes:         int(s.wire.flushes.Load()),
 	}
 	if d := s.collector.Durable(); d != nil {
 		st.RecoveryDiscarded = int(d.Recovery().DiscardedRecords)
@@ -429,6 +443,12 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// newFrameWriter returns the frame writer of one server stream link,
+// counted in the server's frame and flush totals.
+func (s *Server) newFrameWriter(conn net.Conn, w io.Writer) *frameWriter {
+	return newFrameWriter(conn, w, s.writeTimeout, &s.wire)
+}
+
 func (s *Server) handle(conn net.Conn) error {
 	dec := gob.NewDecoder(conn)
 	// A connection that never completes its hello must not pin a handler
@@ -457,9 +477,7 @@ func (s *Server) handle(conn net.Conn) error {
 			reason = "standby awaiting promotion; not serving yet"
 		}
 		if reason != "" {
-			enc := gob.NewEncoder(conn)
-			_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-			_ = enc.Encode(&helloAck{Error: reason, Retry: true})
+			_ = s.newFrameWriter(conn, nil).Send(&helloAck{Error: reason, Retry: true})
 			return fmt.Errorf("rejected %s session: %s", h.Role, reason)
 		}
 	}
@@ -491,22 +509,11 @@ func (s *Server) handleTarget(conn net.Conn, dec *gob.Decoder, h hello) error {
 	s.tel.targetConns.Inc()
 	s.targetConnCount.Add(1)
 	defer s.targetConnCount.Add(-1)
-	enc := gob.NewEncoder(conn)
-	var encMu sync.Mutex
-	writeAck := func(ack *serverAck) error {
-		encMu.Lock()
-		defer encMu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		return enc.Encode(ack)
-	}
+	fw := s.newFrameWriter(conn, nil)
 
 	// The handshake ack tells a resuming reporter what it may prune
 	// before retransmitting.
-	encMu.Lock()
-	_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-	err := enc.Encode(&helloAck{OK: true, Acks: s.collector.acksFor(h.Traces)})
-	encMu.Unlock()
-	if err != nil {
+	if err := fw.Send(&helloAck{OK: true, Acks: s.collector.acksFor(h.Traces)}); err != nil {
 		return fmt.Errorf("hello ack: %w", err)
 	}
 	if len(h.Traces) > 0 {
@@ -530,6 +537,13 @@ func (s *Server) handleTarget(conn net.Conn, dec *gob.Decoder, h hello) error {
 		return out
 	}
 
+	// sendAck counts an ack before writing it: a reporter that has
+	// read the ack (and returned from Flush) must find it counted.
+	sendAck := func(ack *serverAck) error {
+		s.acksSent.Add(1)
+		s.tel.acksSent.Inc()
+		return fw.Send(ack)
+	}
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
@@ -546,19 +560,15 @@ func (s *Server) handleTarget(conn net.Conn, dec *gob.Decoder, h hello) error {
 				// instead of waiting for the connection to die. Acks keep
 				// flowing below while single-endpoint reporters flush.
 				drain = nil
-				if err := writeAck(&serverAck{Drain: true, Acks: s.collector.acksFor(names())}); err != nil {
+				if err := sendAck(&serverAck{Drain: true, Acks: s.collector.acksFor(names())}); err != nil {
 					_ = conn.Close()
 					return
 				}
-				s.acksSent.Add(1)
-				s.tel.acksSent.Inc()
 			case <-t.C:
-				if err := writeAck(&serverAck{Acks: s.collector.acksFor(names())}); err != nil {
+				if err := sendAck(&serverAck{Acks: s.collector.acksFor(names())}); err != nil {
 					_ = conn.Close() // unblock the decode loop
 					return
 				}
-				s.acksSent.Add(1)
-				s.tel.acksSent.Inc()
 			}
 		}
 	}()
@@ -612,7 +622,7 @@ func (s *Server) handleTarget(conn net.Conn, dec *gob.Decoder, h hello) error {
 			if errors.Is(err, ErrOverloaded) {
 				// The backlog never drained: a causal predecessor is likely
 				// missing for good. Tell the peer before hanging up.
-				_ = writeAck(&serverAck{Err: err.Error()})
+				_ = fw.Send(&serverAck{Err: err.Error()})
 				return fmt.Errorf("shedding %s/%d: collector still overloaded after %v: %w",
 					raw.Trace, raw.Seq, s.overloadWait, err)
 			}
@@ -629,7 +639,7 @@ func (s *Server) handleTarget(conn net.Conn, dec *gob.Decoder, h hello) error {
 			}
 			// Malformed beyond repair: tell the peer why before hanging up,
 			// so it fails its Report instead of retransmitting forever.
-			_ = writeAck(&serverAck{Err: err.Error()})
+			_ = fw.Send(&serverAck{Err: err.Error()})
 			return fmt.Errorf("reporting: %w", err)
 		}
 	}
@@ -651,27 +661,15 @@ func (s *Server) handleMonitor(conn net.Conn, h hello) error {
 	s.monWG.Add(1)
 	defer s.monWG.Done()
 
-	// All monitor-bound frames go through a byte-counting writer so the
-	// wire cost of the stream — and of the timestamp encoding in
-	// particular — is observable (WireStats.MonitorBytes,
+	// All monitor-bound frames go through a byte-counting writer below
+	// the frame buffer, so the wire cost of the stream — and of the
+	// timestamp encoding in particular — is observable as bytes that
+	// reached the socket (WireStats.MonitorBytes,
 	// poet_wire_monitor_bytes_total).
-	cw := &countingWriter{w: conn, total: &s.monitorBytes, tel: s.tel.monitorBytes}
-	enc := gob.NewEncoder(cw)
-	var encMu sync.Mutex
+	fw := s.newFrameWriter(conn, &countingWriter{w: conn, total: &s.monitorBytes, tel: s.tel.monitorBytes})
 	var lastWrite atomic.Int64
-	writeMsg := func(msg *wireMsg) error {
-		encMu.Lock()
-		defer encMu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		err := enc.Encode(msg)
-		lastWrite.Store(time.Now().UnixNano())
-		return err
-	}
-	sendHello := func(ack helloAck) error {
-		encMu.Lock()
-		defer encMu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		err := enc.Encode(&ack)
+	writeMsg := func(msg any) error {
+		err := fw.Send(msg)
 		lastWrite.Store(time.Now().UnixNano())
 		return err
 	}
@@ -683,7 +681,7 @@ func (s *Server) handleMonitor(conn net.Conn, h hello) error {
 	if trimmed := s.collector.RetentionStats().TrimmedFrom; h.ResumeFrom >= 0 && h.ResumeFrom < trimmed {
 		msg := fmt.Sprintf("cannot resume from offset %d: retention evicted events below %d; the requested suffix no longer exists",
 			h.ResumeFrom, trimmed)
-		_ = sendHello(helloAck{Error: msg})
+		_ = writeMsg(&helloAck{Error: msg})
 		return fmt.Errorf("monitor %s: %s", conn.RemoteAddr(), msg)
 	}
 	if h.ResumeFrom < 0 || h.ResumeFrom > s.collector.Delivered() {
@@ -699,7 +697,7 @@ func (s *Server) handleMonitor(conn net.Conn, h hello) error {
 					h.ResumeFrom, s.collector.Delivered(), rec.DiscardedRecords)
 			}
 		}
-		_ = sendHello(helloAck{Error: msg})
+		_ = writeMsg(&helloAck{Error: msg})
 		return fmt.Errorf("monitor %s: %s", conn.RemoteAddr(), msg)
 	}
 	// Timestamp-encoding negotiation: the client advertised DeltaVC and
@@ -708,7 +706,7 @@ func (s *Server) handleMonitor(conn net.Conn, h hello) error {
 	// are re-encoded from scratch — retransmitted suffixes never depend
 	// on state from a dead connection.
 	deltaVC := h.DeltaVC
-	if err := sendHello(helloAck{OK: true, DeltaVC: deltaVC}); err != nil {
+	if err := writeMsg(&helloAck{OK: true, DeltaVC: deltaVC}); err != nil {
 		return fmt.Errorf("hello ack: %w", err)
 	}
 	if deltaVC {
@@ -774,32 +772,39 @@ func (s *Server) handleMonitor(conn net.Conn, h hello) error {
 		// this monitor's resume offset ahead of the promoted standby's
 		// stream. Lifts the moment no replica is attached.
 		s.collector.replBarrier()
-		for i := range pending {
-			if err := writeMsg(&wireMsg{Trace: &pending[i]}); err != nil {
-				fail(fmt.Errorf("encoding to monitor: %w", err))
-				return
+		// The batch and its pending announcements leave in one flush.
+		err := fw.Batch(func(queue func(any) error) error {
+			for i := range pending {
+				if err := queue(&wireMsg{Trace: &pending[i]}); err != nil {
+					return err
+				}
 			}
+			for _, e := range batch {
+				var w *wireEvent
+				if deltaVC {
+					// denc is touched only here, on the subscription's
+					// consumer goroutine, so encoding order equals stream
+					// order — which the delta baseline depends on.
+					w = toWireDelta(e, denc)
+					s.vcEntriesSent.Add(int64(len(w.VCTr)))
+					s.tel.vcEntries.Add(int64(len(w.VCTr)))
+				} else {
+					w = toWire(e)
+					s.vcEntriesSent.Add(int64(len(w.VC)))
+					s.tel.vcEntries.Add(int64(len(w.VC)))
+				}
+				if err := queue(&wireMsg{Event: w}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		lastWrite.Store(time.Now().UnixNano())
+		if err != nil {
+			fail(fmt.Errorf("encoding to monitor: %w", err))
+			return
 		}
 		pending = nil
-		for _, e := range batch {
-			var w *wireEvent
-			if deltaVC {
-				// denc is touched only here, on the subscription's
-				// consumer goroutine, so encoding order equals stream
-				// order — which the delta baseline depends on.
-				w = toWireDelta(e, denc)
-				s.vcEntriesSent.Add(int64(len(w.VCTr)))
-				s.tel.vcEntries.Add(int64(len(w.VCTr)))
-			} else {
-				w = toWire(e)
-				s.vcEntriesSent.Add(int64(len(w.VC)))
-				s.tel.vcEntries.Add(int64(len(w.VC)))
-			}
-			if err := writeMsg(&wireMsg{Event: w}); err != nil {
-				fail(fmt.Errorf("encoding to monitor: %w", err))
-				return
-			}
-		}
 		dropCheck()
 	}
 	sub, err := s.collector.SubscribeBatchReplayFrom(h.ResumeFrom, handler, AsyncOptions{

@@ -257,32 +257,19 @@ func (c *Collector) shardRecordsFrom(idx int) (recs []shardExport, next int, ch 
 // close detector.
 func (s *Server) handleShard(conn net.Conn, dec *gob.Decoder, h hello) error {
 	c := s.collector
-	enc := gob.NewEncoder(conn)
-	var encMu sync.Mutex
-	writeMsg := func(msg *wireMsg) error {
-		encMu.Lock()
-		defer encMu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		return enc.Encode(msg)
-	}
-	sendHello := func(ack helloAck) error {
-		encMu.Lock()
-		defer encMu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		return enc.Encode(&ack)
-	}
+	fw := s.newFrameWriter(conn, nil)
 	if !c.Sharded() {
 		msg := "sharding not enabled on this collector"
-		_ = sendHello(helloAck{Error: msg})
+		_ = fw.Send(&helloAck{Error: msg})
 		return fmt.Errorf("shard peer %s: %s", conn.RemoteAddr(), msg)
 	}
 	_, head, _ := c.shardRecordsFrom(0)
 	if h.ResumeFrom < 0 || h.ResumeFrom > head {
 		msg := fmt.Sprintf("cannot resume shard exchange from offset %d (exported %d): this shard did not produce that stream", h.ResumeFrom, head)
-		_ = sendHello(helloAck{Error: msg})
+		_ = fw.Send(&helloAck{Error: msg})
 		return fmt.Errorf("shard peer %s: %s", conn.RemoteAddr(), msg)
 	}
-	if err := sendHello(helloAck{OK: true, DeltaVC: h.DeltaVC}); err != nil {
+	if err := fw.Send(&helloAck{OK: true, DeltaVC: h.DeltaVC}); err != nil {
 		return fmt.Errorf("shard hello ack: %w", err)
 	}
 	s.shardSessions.Add(1)
@@ -305,26 +292,33 @@ func (s *Server) handleShard(conn net.Conn, dec *gob.Decoder, h hello) error {
 	drain := s.drainCh
 	for {
 		recs, next, ch := c.shardRecordsFrom(idx)
-		for i := range recs {
-			rec := recs[i]
-			var w *wireEvent
-			if h.DeltaVC {
-				// denc is touched only on this loop, so encoding order
-				// equals stream order — the delta baseline's invariant.
-				w = toWireDelta(&event.Event{ID: rec.ID, VC: rec.VC}, denc)
-				s.shardVCEntries.Add(int64(len(w.VCTr)))
-				s.tel.shardVCEntries.Add(int64(len(w.VCTr)))
-			} else {
-				w = toWire(&event.Event{ID: rec.ID, VC: rec.VC})
-				s.shardVCEntries.Add(int64(len(w.VC)))
-				s.tel.shardVCEntries.Add(int64(len(w.VC)))
+		// The whole batch leaves in one flush, before parking.
+		err := fw.Batch(func(queue func(any) error) error {
+			for i := range recs {
+				rec := recs[i]
+				var w *wireEvent
+				if h.DeltaVC {
+					// denc is touched only on this loop, so encoding order
+					// equals stream order — the delta baseline's invariant.
+					w = toWireDelta(&event.Event{ID: rec.ID, VC: rec.VC}, denc)
+					s.shardVCEntries.Add(int64(len(w.VCTr)))
+					s.tel.shardVCEntries.Add(int64(len(w.VCTr)))
+				} else {
+					w = toWire(&event.Event{ID: rec.ID, VC: rec.VC})
+					s.shardVCEntries.Add(int64(len(w.VC)))
+					s.tel.shardVCEntries.Add(int64(len(w.VC)))
+				}
+				w.MsgID = rec.MsgID
+				if err := queue(&wireMsg{Shard: w, Head: next}); err != nil {
+					return err
+				}
+				s.shardRecords.Add(1)
+				s.tel.shardRecords.Inc()
 			}
-			w.MsgID = rec.MsgID
-			if err := writeMsg(&wireMsg{Shard: w, Head: next}); err != nil {
-				return fmt.Errorf("encoding to shard peer: %w", err)
-			}
-			s.shardRecords.Add(1)
-			s.tel.shardRecords.Inc()
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("encoding to shard peer: %w", err)
 		}
 		idx = next
 		if len(recs) > 0 {
@@ -337,7 +331,7 @@ func (s *Server) handleShard(conn net.Conn, dec *gob.Decoder, h hello) error {
 		case <-ch:
 		case <-hb.C:
 			hb.Reset(s.hbInterval)
-			if err := writeMsg(&wireMsg{Heartbeat: true, Head: idx}); err != nil {
+			if err := fw.Send(&wireMsg{Heartbeat: true, Head: idx}); err != nil {
 				return fmt.Errorf("heartbeat to shard peer: %w", err)
 			}
 			s.heartbeats.Add(1)
@@ -347,11 +341,11 @@ func (s *Server) handleShard(conn net.Conn, dec *gob.Decoder, h hello) error {
 			// Advise the peer to move to this shard's standby; keep
 			// serving until End/close for peers with nowhere to go.
 			drain = nil
-			if err := writeMsg(&wireMsg{Drain: true}); err != nil {
+			if err := fw.Send(&wireMsg{Drain: true}); err != nil {
 				return fmt.Errorf("drain frame to shard peer: %w", err)
 			}
 		case <-s.closing:
-			err := writeMsg(&wireMsg{End: true})
+			err := fw.Send(&wireMsg{End: true})
 			_ = conn.Close()
 			return err
 		}

@@ -28,7 +28,9 @@ import (
 // already-ingested events are pruned before replay), and a monitor hello
 // carries ResumeFrom, the number of linearized events already received,
 // so the server replays only the suffix. Everything is gob-encoded
-// directly on the connection.
+// through a per-connection frame buffer that is flushed when a batch of
+// frames is drained (frame.go); the bytes are those of a bare encoder on
+// the connection.
 //
 // Compatibility: the magic bump from OCEP-POET-1 is deliberate — v1
 // peers did not read a helloAck and had no ack/heartbeat/resume frames,

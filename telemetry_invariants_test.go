@@ -228,6 +228,69 @@ func TestTelemetryInvariantsFaultyWire(t *testing.T) {
 	collector.Close()
 }
 
+// TestTelemetryInvariantsCoalescedWire streams a workload from a
+// reporter through an instrumented server to a wire monitor and checks
+// the frame accounting of the server's stream links: every socket write
+// (flush) carries at least one frame, the frames include every event
+// the monitor consumed, and the /metrics series agree with WireStats.
+func TestTelemetryInvariantsCoalescedWire(t *testing.T) {
+	events, _ := captureDeadlock(t)
+	reg := ocep.NewRegistry()
+	collector := ocep.NewCollector()
+	collector.InstrumentMetrics(reg)
+	srv := ocep.NewServer(collector, t.Logf)
+	srv.InstrumentMetrics(reg)
+	srv.SetWireTiming(10*time.Millisecond, 0, 0)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := ocep.DialMonitor(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	rep, err := ocep.DialReporter(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	for _, e := range events {
+		if err := rep.Report(e); err != nil {
+			t.Fatalf("report: %v", err)
+		}
+	}
+	if err := rep.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	for i := range events {
+		if _, err := mon.Next(); err != nil {
+			t.Fatalf("monitor event %d: %v", i, err)
+		}
+	}
+	// Close ends every link, so the counters are final.
+	if err := srv.Close(); err != nil {
+		t.Fatalf("server close: %v", err)
+	}
+
+	frames := reg.Value("poet_wire_frames_total")
+	flushes := reg.Value("poet_wire_flushes_total")
+	if flushes <= 0 {
+		t.Fatalf("poet_wire_flushes_total = %d on a run that carried %d events", flushes, len(events))
+	}
+	if flushes > frames {
+		t.Errorf("flushes %d > frames %d: a socket write carried no frame", flushes, frames)
+	}
+	if frames < int64(len(events)) {
+		t.Errorf("frames %d < %d events streamed to the monitor", frames, len(events))
+	}
+	ws := srv.WireStats()
+	if int64(ws.Frames) != frames || int64(ws.Flushes) != flushes {
+		t.Errorf("WireStats frames/flushes %d/%d != metrics %d/%d", ws.Frames, ws.Flushes, frames, flushes)
+	}
+	collector.Close()
+}
+
 // TestTelemetryInvariantsDurableRecovery checks WAL and recovery
 // accounting: during ingestion every accepted event appends exactly one
 // WAL event record (fsynced under SyncAlways); after a simulated crash
