@@ -1,6 +1,6 @@
 // Package backoff is the one shared implementation of the retry timing
-// used across the wire layer: the reporter's and monitor client's
-// reconnect loops, the endpoint pool's per-endpoint health cooldowns,
+// used across the wire layer: the wire clients' redial loop, the
+// endpoint pool's per-endpoint health cooldowns,
 // and the server's overload retry parking all draw their delays from
 // here, so the jitter/cap/growth behaviour is defined (and property
 // tested) exactly once.

@@ -21,7 +21,8 @@ import (
 // entries). The experiment quantifies what the compressed causality
 // machinery buys back:
 //
-//   - wire: gob bytes/event with full dense vectors vs. per-connection
+//   - wire: gob bytes/event with full dense vectors (a reference encoder
+//     kept here; the wire itself only delta-encodes) vs. per-connection
 //     delta encoding (only the entries that changed since the previous
 //     event on the connection);
 //   - memory/time: ns per happens-before test and timestamp entries per
@@ -326,11 +327,11 @@ func traceScale(w io.Writer, cfg traceScaleConfig) error {
 		if len(sample) > cfg.SampleEvents {
 			sample = sample[len(sample)-cfg.SampleEvents:]
 		}
-		denseBytes, _, err := poet.MeasureWire(sample, false)
+		denseBytes, err := denseWireBytes(sample)
 		if err != nil {
 			return err
 		}
-		deltaBytes, deltaEntries, err := poet.MeasureWire(sample, true)
+		deltaBytes, deltaEntries, err := poet.MeasureWire(sample)
 		if err != nil {
 			return err
 		}

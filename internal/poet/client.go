@@ -13,7 +13,6 @@ import (
 	"ocep/internal/backoff"
 	"ocep/internal/event"
 	"ocep/internal/pool"
-	"ocep/internal/vclock"
 )
 
 // ErrStreamInterrupted reports that a wire connection died without the
@@ -63,28 +62,16 @@ func isTimeout(err error) bool {
 type ReporterOption func(*repCfg)
 
 type repCfg struct {
-	buffer          int
-	reconnectBudget time.Duration
-	backoffBase     time.Duration
-	backoffMax      time.Duration
-	heartbeat       time.Duration
-	peerTimeout     time.Duration
-	dialTimeout     time.Duration
-	writeTimeout    time.Duration
-	logf            func(string, ...any)
+	linkCfg
+	buffer    int
+	heartbeat time.Duration
 }
 
 func defaultRepCfg() repCfg {
 	return repCfg{
-		buffer:          defaultReporterBuffer,
-		reconnectBudget: defaultReconnectBudget,
-		backoffBase:     defaultBackoffBase,
-		backoffMax:      defaultBackoffMax,
-		heartbeat:       defaultHeartbeat,
-		peerTimeout:     defaultPeerTimeout,
-		dialTimeout:     defaultDialTimeout,
-		writeTimeout:    defaultWriteTimeout,
-		logf:            func(string, ...any) {},
+		linkCfg:   defaultLinkCfg(),
+		buffer:    defaultReporterBuffer,
+		heartbeat: defaultHeartbeat,
 	}
 }
 
@@ -135,11 +122,7 @@ func WithReporterBackoff(base, max time.Duration) ReporterOption {
 // WithReporterLog routes reporter diagnostics (reconnects, retransmits)
 // to logf.
 func WithReporterLog(logf func(string, ...any)) ReporterOption {
-	return func(c *repCfg) {
-		if logf != nil {
-			c.logf = logf
-		}
-	}
+	return func(c *repCfg) { c.setLog(logf) }
 }
 
 // ReporterStats are a reporter's cumulative wire counters.
@@ -209,11 +192,6 @@ type Reporter struct {
 	// done closes when the sender goroutine exits.
 	done chan struct{}
 	wire frameStats
-
-	// initial connection, handed to the sender.
-	conn   net.Conn
-	fw     *frameWriter
-	broken chan struct{}
 }
 
 // DialReporter connects to a POET server as a target. addr may name a
@@ -234,7 +212,7 @@ func DialReporter(addr string, opts ...ReporterOption) (*Reporter, error) {
 	}
 	r := &Reporter{
 		addr:    addr,
-		eps:     pool.New(addrs, cfg.backoffBase, cfg.backoffMax),
+		eps:     cfg.newPool(addrs),
 		cfg:     cfg,
 		acks:    make(map[string]int),
 		wake:    make(chan struct{}, 1),
@@ -242,43 +220,19 @@ func DialReporter(addr string, opts ...ReporterOption) (*Reporter, error) {
 		done:    make(chan struct{}),
 	}
 	r.cond = sync.NewCond(&r.mu)
-	// One synchronous round over the pool: a fully unreachable service
-	// fails fast, a partially degraded one lands on a healthy endpoint.
-	var (
-		conn   net.Conn
-		fw     *frameWriter
-		broken chan struct{}
-	)
-	for i := 0; ; i++ {
-		ep := r.eps.Pick()
-		var err error
-		conn, fw, broken, err = r.handshake(ep)
-		if err == nil {
-			r.eps.Success(ep)
-			break
-		}
-		if errors.Is(err, ErrSessionRejected) {
-			return nil, fmt.Errorf("poet reporter: %w", err)
-		}
-		r.eps.Fail(ep, err)
-		if i+1 >= r.eps.Size() {
-			return nil, fmt.Errorf("poet reporter: %w", r.eps.ErrorSummary())
-		}
+	l, err := r.cfg.redial(r.eps, 0, r.closeCh, r.hello, &r.wire)
+	if err != nil {
+		return nil, fmt.Errorf("poet reporter: %w", err)
 	}
-	r.conn, r.fw, r.broken = conn, fw, broken
-	go r.sender()
+	go r.sender(l, r.attach(l))
 	return r, nil
 }
 
-// handshake dials one endpoint, sends the hello (naming the traces with
-// unacked events), reads the helloAck, and spawns the ack reader. Called
-// from DialReporter and, on the sender goroutine, from reconnect.
-func (r *Reporter) handshake(addr string) (net.Conn, *frameWriter, chan struct{}, error) {
-	conn, err := net.DialTimeout("tcp", addr, r.cfg.dialTimeout)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("dial: %w", err)
-	}
+// hello names the traces with unacked events; the helloAck returns the
+// server's ack for each, so the reporter prunes before retransmitting.
+func (r *Reporter) hello() hello {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	names := make([]string, 0, 4)
 	seen := make(map[string]bool)
 	for _, ev := range r.unacked {
@@ -287,59 +241,34 @@ func (r *Reporter) handshake(addr string) (net.Conn, *frameWriter, chan struct{}
 			names = append(names, ev.Trace)
 		}
 	}
-	r.mu.Unlock()
-	fw := newFrameWriter(conn, nil, r.cfg.writeTimeout, &r.wire)
-	if err := fw.Send(hello{Magic: wireMagic, Role: roleTarget, Traces: names}); err != nil {
-		_ = conn.Close()
-		return nil, nil, nil, fmt.Errorf("hello: %w", err)
-	}
-	dec := gob.NewDecoder(conn)
-	// The handshake deadline is floored: peerTimeout tracks the
-	// heartbeat interval and can be tuned to tens of milliseconds for
-	// fast liveness detection, but the one-shot hello/ack exchange over
-	// a slow or degraded link should not inherit that aggressiveness —
-	// a reconnect loop that times out every handshake never recovers.
-	hsTimeout := r.cfg.peerTimeout
-	if hsTimeout < minHandshakeTimeout {
-		hsTimeout = minHandshakeTimeout
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(hsTimeout))
-	var ack helloAck
-	if err := dec.Decode(&ack); err != nil {
-		_ = conn.Close()
-		return nil, nil, nil, fmt.Errorf("hello ack: %w", err)
-	}
-	if !ack.OK {
-		_ = conn.Close()
-		if ack.Retry {
-			// A retriable refusal (standby awaiting promotion, draining
-			// server): treated like a dial failure so the pool rotates
-			// and the backoff schedule keeps probing.
-			return nil, nil, nil, fmt.Errorf("session deferred: %s", ack.Error)
-		}
-		return nil, nil, nil, fmt.Errorf("%w: %s", ErrSessionRejected, ack.Error)
-	}
+	return hello{Role: roleTarget, Traces: names}
+}
+
+// attach takes over a fresh link: it applies the handshake acks, marks
+// the whole buffer unsent (the sender prunes acked entries and
+// retransmits the rest), and starts the ack reader, whose exit closes
+// the returned channel.
+func (r *Reporter) attach(l *link) chan struct{} {
 	r.mu.Lock()
-	r.raiseAcksLocked(ack.Acks)
-	// Everything on the new connection is unsent; the sender prunes
-	// acked entries and retransmits the remainder.
+	r.raiseAcksLocked(l.ack.Acks)
 	r.sent = 0
 	r.mu.Unlock()
 	broken := make(chan struct{})
-	go r.reader(conn, addr, dec, broken)
-	return conn, fw, broken, nil
+	go r.reader(l, broken)
+	return broken
 }
 
 // reader consumes server acks on one connection, pruning is left to the
 // sender (the only goroutine that mutates the buffer indices). Exits
 // when the connection dies; the peer timeout makes a silent server
 // indistinguishable from a dead one, on purpose.
-func (r *Reporter) reader(conn net.Conn, addr string, dec *gob.Decoder, broken chan struct{}) {
+func (r *Reporter) reader(l *link, broken chan struct{}) {
 	defer close(broken)
+	conn, addr := l.conn, l.addr
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(r.cfg.peerTimeout))
 		var ack serverAck
-		if err := dec.Decode(&ack); err != nil {
+		if err := l.dec.Decode(&ack); err != nil {
 			if isTimeout(err) {
 				r.cfg.logf("poet reporter: no ack or heartbeat from %s in %v; reconnecting", addr, r.cfg.peerTimeout)
 			}
@@ -443,13 +372,12 @@ func (r *Reporter) prune() {
 // sender owns the connection: it streams unsent events, heartbeats when
 // idle, and reconnects (pruning and retransmitting) when the connection
 // dies.
-func (r *Reporter) sender() {
+func (r *Reporter) sender(l *link, broken chan struct{}) {
 	defer close(r.done)
-	conn, fw, broken := r.conn, r.fw, r.broken
 	disconnect := func() {
-		if conn != nil {
-			_ = conn.Close()
-			conn, fw, broken = nil, nil, nil
+		if l != nil {
+			_ = l.conn.Close()
+			l, broken = nil, nil
 		}
 	}
 	defer disconnect()
@@ -465,24 +393,23 @@ func (r *Reporter) sender() {
 		if failed != nil {
 			return
 		}
-		if closed && (!pending || conn == nil) {
+		if closed && (!pending || l == nil) {
 			// Drained (or unsendable): exit. Close does not redial.
 			return
 		}
-		if conn == nil {
-			c, f, b, err := r.reconnect()
-			if err != nil {
+		if l == nil {
+			var err error
+			if l, broken, err = r.reconnect(); err != nil {
 				if !errors.Is(err, ErrClientClosed) {
 					r.fail(fmt.Errorf("poet reporter: %w (cause: %v)", ErrStreamInterrupted, err))
 				}
 				return
 			}
-			conn, fw, broken = c, f, b
 			backoff.ResetTimer(hb, r.cfg.heartbeat)
 			continue // re-prune with the handshake acks before sending
 		}
 		if pending {
-			if !r.sendPending(fw) {
+			if !r.sendPending(l.fw) {
 				disconnect()
 				continue
 			}
@@ -494,7 +421,7 @@ func (r *Reporter) sender() {
 		case <-broken:
 			disconnect()
 		case <-hb.C:
-			if err := fw.Send(&targetMsg{Heartbeat: true}); err != nil {
+			if err := l.fw.Send(&targetMsg{Heartbeat: true}); err != nil {
 				r.cfg.logf("poet reporter: heartbeat to %s failed: %v", r.addr, err)
 				disconnect()
 			}
@@ -530,53 +457,30 @@ func (r *Reporter) sendPending(fw *frameWriter) bool {
 	return true
 }
 
-// reconnect redials with backoff — rotating through the endpoint pool,
-// sleeping only when a whole round has failed — until the budget is
-// exhausted. Runs on the sender goroutine.
-func (r *Reporter) reconnect() (net.Conn, *frameWriter, chan struct{}, error) {
+// reconnect redials through the endpoint pool within the reconnect
+// budget and counts the events it will retransmit. Runs on the sender
+// goroutine.
+func (r *Reporter) reconnect() (*link, chan struct{}, error) {
 	if r.cfg.reconnectBudget <= 0 {
-		return nil, nil, nil, errors.New("reconnection disabled")
+		return nil, nil, errors.New("reconnection disabled")
 	}
-	var slept time.Duration
-	for {
-		r.mu.Lock()
-		closed, failed := r.closed, r.failed
-		r.mu.Unlock()
-		if closed || failed != nil {
-			return nil, nil, nil, ErrClientClosed
-		}
-		ep := r.eps.Pick()
-		conn, fw, broken, err := r.handshake(ep)
-		if err == nil {
-			r.eps.Success(ep)
-			r.mu.Lock()
-			r.stats.Reconnects++
-			retrans := 0
-			for i := range r.unacked {
-				if r.unacked[i].Seq > r.acks[r.unacked[i].Trace] {
-					retrans++
-				}
-			}
-			r.stats.Retransmits += retrans
-			r.mu.Unlock()
-			r.cfg.logf("poet reporter: reconnected to %s (retransmitting %d unacked events)", ep, retrans)
-			return conn, fw, broken, nil
-		}
-		if errors.Is(err, ErrSessionRejected) {
-			// Terminal: the server understood the session and refused it
-			// for keeps. Another endpoint cannot make the refusal wrong,
-			// so it is not retried elsewhere.
-			return nil, nil, nil, err
-		}
-		d := r.eps.Fail(ep, err)
-		if slept+d > r.cfg.reconnectBudget {
-			return nil, nil, nil, fmt.Errorf("reconnect budget %v exhausted: %w", r.cfg.reconnectBudget, r.eps.ErrorSummary())
-		}
-		slept += d
-		if !backoff.Sleep(d, r.closeCh) {
-			return nil, nil, nil, ErrClientClosed
+	l, err := r.cfg.redial(r.eps, r.cfg.reconnectBudget, r.closeCh, r.hello, &r.wire)
+	if err != nil {
+		return nil, nil, err
+	}
+	broken := r.attach(l)
+	r.mu.Lock()
+	r.stats.Reconnects++
+	retrans := 0
+	for i := range r.unacked {
+		if r.unacked[i].Seq > r.acks[r.unacked[i].Trace] {
+			retrans++
 		}
 	}
+	r.stats.Retransmits += retrans
+	r.mu.Unlock()
+	r.cfg.logf("poet reporter: reconnected to %s (retransmitting %d unacked events)", l.addr, retrans)
+	return l, broken, nil
 }
 
 // Report buffers one raw event for transmission. It blocks only when the
@@ -666,30 +570,9 @@ func (r *Reporter) Close() error {
 type MonitorOption func(*monCfg)
 
 type monCfg struct {
-	reconnectBudget time.Duration
-	backoffBase     time.Duration
-	backoffMax      time.Duration
-	readTimeout     time.Duration
-	dialTimeout     time.Duration
-	logf            func(string, ...any)
-	// deltaVC advertises delta-encoded timestamps in the hello. On by
-	// default; a server that predates the flag simply never confirms
-	// it and the session stays dense.
-	deltaVC bool
+	linkCfg
 	// sparse emits each event's timestamp in the sparse representation.
 	sparse bool
-}
-
-func defaultMonCfg() monCfg {
-	return monCfg{
-		reconnectBudget: defaultReconnectBudget,
-		backoffBase:     defaultBackoffBase,
-		backoffMax:      defaultBackoffMax,
-		readTimeout:     defaultPeerTimeout,
-		dialTimeout:     defaultDialTimeout,
-		logf:            func(string, ...any) {},
-		deltaVC:         true,
-	}
 }
 
 // WithMonitorReconnect bounds the cumulative backoff spent redialing per
@@ -705,7 +588,7 @@ func WithMonitorReconnect(budget time.Duration) MonitorOption {
 func WithMonitorReadTimeout(d time.Duration) MonitorOption {
 	return func(c *monCfg) {
 		if d > 0 {
-			c.readTimeout = d
+			c.peerTimeout = d
 		}
 	}
 }
@@ -717,30 +600,14 @@ func WithMonitorBackoff(base, max time.Duration) MonitorOption {
 
 // WithMonitorLog routes reconnect diagnostics to logf.
 func WithMonitorLog(logf func(string, ...any)) MonitorOption {
-	return func(c *monCfg) {
-		if logf != nil {
-			c.logf = logf
-		}
-	}
-}
-
-// WithMonitorDeltaVC controls whether the client offers delta-encoded
-// vector timestamps at the handshake (on by default). The server must
-// confirm the offer for the session to use deltas; a server that
-// predates the negotiation silently keeps the session on dense full
-// vectors, so the option never breaks compatibility. Turning it off
-// forces dense timestamps — useful as a differential oracle against the
-// delta path.
-func WithMonitorDeltaVC(on bool) MonitorOption {
-	return func(c *monCfg) { c.deltaVC = on }
+	return func(c *monCfg) { c.setLog(logf) }
 }
 
 // WithMonitorSparseClocks makes the client stamp received events with
 // the sparse timestamp representation (vclock.Sparse) instead of dense
 // vectors. The causal order is identical either way; sparse stamps keep
 // a long-lived monitor's memory proportional to each event's causal
-// past rather than the trace count. Works on both dense and
-// delta-negotiated sessions.
+// past rather than the trace count.
 func WithMonitorSparseClocks() MonitorOption {
 	return func(c *monCfg) { c.sparse = true }
 }
@@ -755,9 +622,6 @@ type MonitorClientStats struct {
 	// Failovers counts moves to a different endpoint in the pool
 	// (connection failures on the current endpoint and drain notices).
 	Failovers int
-	// DeltaNegotiated reports whether the current connection carries
-	// delta-encoded timestamps (the server confirmed the offer).
-	DeltaNegotiated bool
 }
 
 // MonitorClient receives the linearized event stream from a POET server,
@@ -788,11 +652,12 @@ type MonitorClient struct {
 	closed  bool
 	// closeCh closes on Close, aborting any in-progress backoff sleep.
 	closeCh chan struct{}
+	wire    frameStats
 
 	dec *gob.Decoder
-	// ddec reconstructs delta-encoded timestamps; nil on a dense
-	// session. Replaced wholesale on every (re)connection so the
-	// baseline resets together with the server's.
+	// ddec reconstructs the connection's delta-encoded timestamps. It is
+	// replaced on every (re)connection, so its baseline resets together
+	// with the server's.
 	ddec     *deltaDecoder
 	received int
 	ended    bool
@@ -806,7 +671,7 @@ type MonitorClient struct {
 // resuming the stream at its exact offset so the observed sequence
 // stays gap-free and duplicate-free across the move.
 func DialMonitor(addr string, opts ...MonitorOption) (*MonitorClient, error) {
-	cfg := defaultMonCfg()
+	cfg := monCfg{linkCfg: defaultLinkCfg()}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -816,80 +681,38 @@ func DialMonitor(addr string, opts ...MonitorOption) (*MonitorClient, error) {
 	}
 	m := &MonitorClient{
 		addr:    addr,
-		eps:     pool.New(addrs, cfg.backoffBase, cfg.backoffMax),
+		eps:     cfg.newPool(addrs),
 		cfg:     cfg,
 		names:   make(map[event.TraceID]string),
 		closeCh: make(chan struct{}),
 	}
-	// One synchronous round over the pool: a fully unreachable service
-	// fails fast, a partially degraded one lands on a healthy endpoint.
-	for i := 0; ; i++ {
-		ep := m.eps.Pick()
-		err := m.connect(ep, 0)
-		if err == nil {
-			m.eps.Success(ep)
-			break
-		}
-		if errors.Is(err, ErrSessionRejected) {
-			return nil, fmt.Errorf("poet monitor: %w", err)
-		}
-		m.eps.Fail(ep, err)
-		if i+1 >= m.eps.Size() {
-			return nil, fmt.Errorf("poet monitor: %w", m.eps.ErrorSummary())
-		}
+	l, err := m.cfg.redial(m.eps, 0, m.closeCh, m.hello, &m.wire)
+	if err != nil {
+		return nil, fmt.Errorf("poet monitor: %w", err)
 	}
+	_ = m.attach(l) // m is not yet returned, so nothing can have closed it
 	return m, nil
 }
 
-// connect dials one endpoint and performs the hello/helloAck handshake,
-// resuming from the given linearization offset.
-func (m *MonitorClient) connect(addr string, resumeFrom int) error {
-	conn, err := net.DialTimeout("tcp", addr, m.cfg.dialTimeout)
-	if err != nil {
-		return fmt.Errorf("dial: %w", err)
-	}
-	enc := gob.NewEncoder(conn)
-	_ = conn.SetWriteDeadline(time.Now().Add(defaultWriteTimeout))
-	if err := enc.Encode(hello{Magic: wireMagic, Role: roleMonitor, ResumeFrom: resumeFrom, DeltaVC: m.cfg.deltaVC}); err != nil {
-		_ = conn.Close()
-		return fmt.Errorf("hello: %w", err)
-	}
-	dec := gob.NewDecoder(conn)
-	_ = conn.SetReadDeadline(time.Now().Add(m.cfg.readTimeout))
-	var ack helloAck
-	if err := dec.Decode(&ack); err != nil {
-		_ = conn.Close()
-		return fmt.Errorf("hello ack: %w", err)
-	}
-	if !ack.OK {
-		_ = conn.Close()
-		if ack.Retry {
-			// A retriable refusal (standby awaiting promotion, draining
-			// server): treated like a dial failure so the pool rotates
-			// and the backoff schedule keeps probing.
-			return fmt.Errorf("session deferred: %s", ack.Error)
-		}
-		return fmt.Errorf("%w: %s", ErrSessionRejected, ack.Error)
-	}
+// hello resumes the stream at the number of events already received.
+func (m *MonitorClient) hello() hello {
+	return hello{Role: roleMonitor, ResumeFrom: m.received}
+}
+
+// attach makes l the live connection, with a fresh delta decoder: the
+// baseline restarts at zero on both sides of every handshake, so
+// resumed replays decode correctly whatever the dead connection had
+// seen. It fails with ErrClientClosed when Close won the race.
+func (m *MonitorClient) attach(l *link) error {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
-		m.mu.Unlock()
-		_ = conn.Close()
+		_ = l.conn.Close()
 		return ErrClientClosed
 	}
-	m.conn = conn
-	m.curAddr = addr
-	m.mu.Unlock()
-	m.dec = dec
-	// A fresh decoder per connection: the delta baseline restarts at
-	// zero on both sides of every handshake, so resumed replays decode
-	// correctly regardless of what the dead connection had seen.
-	if ack.DeltaVC {
-		m.ddec = &deltaDecoder{sparse: m.cfg.sparse}
-	} else {
-		m.ddec = nil
-	}
-	m.stats.DeltaNegotiated = ack.DeltaVC
+	m.conn, m.curAddr = l.conn, l.addr
+	m.dec = l.dec
+	m.ddec = &deltaDecoder{sparse: m.cfg.sparse}
 	return nil
 }
 
@@ -910,14 +733,14 @@ func (m *MonitorClient) Next() (*event.Event, error) {
 		if closed {
 			return nil, io.EOF
 		}
-		_ = conn.SetReadDeadline(time.Now().Add(m.cfg.readTimeout))
+		_ = conn.SetReadDeadline(time.Now().Add(m.cfg.peerTimeout))
 		var msg wireMsg
 		if err := m.dec.Decode(&msg); err != nil {
 			if m.isClosed() {
 				return nil, io.EOF
 			}
 			if isTimeout(err) {
-				m.cfg.logf("poet monitor: no frame from %s in %v; connection presumed dead", addr, m.cfg.readTimeout)
+				m.cfg.logf("poet monitor: no frame from %s in %v; connection presumed dead", addr, m.cfg.peerTimeout)
 			}
 			_ = conn.Close()
 			if rerr := m.resume(err); rerr != nil {
@@ -951,82 +774,47 @@ func (m *MonitorClient) Next() (*event.Event, error) {
 		case msg.Trace != nil:
 			m.names[event.TraceID(msg.Trace.ID)] = msg.Trace.Name
 		case msg.Event != nil:
-			e, err := m.eventFromWire(msg.Event)
+			vc, err := m.ddec.decode(msg.Event)
 			if err != nil {
-				// A baseline desync is a protocol bug, not a transport
-				// fault: resuming would mask it, so surface it.
+				// A baseline desync or malformed frame is a protocol
+				// fault, not a transport one: resuming would mask it, so
+				// surface it.
 				return nil, err
 			}
 			m.received++
 			m.stats.Received = m.received
-			return e, nil
+			return msg.Event.event(vc), nil
 		default:
 			return nil, fmt.Errorf("poet monitor: empty wire message")
 		}
 	}
 }
 
-// eventFromWire materializes one received event in the configured
-// timestamp representation, decoding the connection's delta stream when
-// one was negotiated.
-func (m *MonitorClient) eventFromWire(w *wireEvent) (*event.Event, error) {
-	if m.ddec == nil {
-		e := fromWire(w)
-		if m.cfg.sparse {
-			e.VC = vclock.SparseOf(e.VC)
-		}
-		return e, nil
-	}
-	vc, err := m.ddec.decode(w)
-	if err != nil {
-		return nil, err
-	}
-	e := fromWire(w)
-	e.VC = vc
-	return e, nil
-}
-
-// resume redials with backoff — rotating through the endpoint pool,
-// sleeping only when a whole round has failed — and resumes the session
-// at the current offset. cause is the transport error that killed the
-// connection.
+// resume redials through the endpoint pool within the reconnect budget
+// and resumes the session at the current offset. cause is the transport
+// error that killed the connection.
 func (m *MonitorClient) resume(cause error) error {
 	interrupted := fmt.Errorf("poet monitor: %w after %d events (cause: %v)", ErrStreamInterrupted, m.received, cause)
 	if m.cfg.reconnectBudget <= 0 {
 		return interrupted
 	}
-	var slept time.Duration
-	for {
-		if m.isClosed() {
-			return io.EOF
-		}
-		ep := m.eps.Pick()
-		err := m.connect(ep, m.received)
-		if err == nil {
-			m.eps.Success(ep)
-			m.stats.Reconnects++
-			m.cfg.logf("poet monitor: resumed session with %s at offset %d", ep, m.received)
-			return nil
-		}
-		if errors.Is(err, ErrClientClosed) {
-			return io.EOF
-		}
-		if errors.Is(err, ErrSessionRejected) {
-			// Terminal: the offset this client remembers is beyond what
-			// the server (or a promoted standby) can replay. Another
-			// endpoint cannot make the refusal wrong, so it is not
-			// retried elsewhere.
-			return fmt.Errorf("%w: %w", interrupted, err)
-		}
-		d := m.eps.Fail(ep, err)
-		if slept+d > m.cfg.reconnectBudget {
-			return fmt.Errorf("%w; reconnect budget %v exhausted: %w", interrupted, m.cfg.reconnectBudget, m.eps.ErrorSummary())
-		}
-		slept += d
-		if !backoff.Sleep(d, m.closeCh) {
-			return io.EOF
-		}
+	l, err := m.cfg.redial(m.eps, m.cfg.reconnectBudget, m.closeCh, m.hello, &m.wire)
+	if err == nil {
+		err = m.attach(l)
 	}
+	switch {
+	case errors.Is(err, ErrClientClosed):
+		return io.EOF
+	case errors.Is(err, ErrSessionRejected):
+		// Terminal: the offset this client remembers is beyond what the
+		// server (or a promoted standby) can replay.
+		return fmt.Errorf("%w: %w", interrupted, err)
+	case err != nil:
+		return fmt.Errorf("%w; %w", interrupted, err)
+	}
+	m.stats.Reconnects++
+	m.cfg.logf("poet monitor: resumed session with %s at offset %d", l.addr, m.received)
+	return nil
 }
 
 func (m *MonitorClient) isClosed() bool {

@@ -1,6 +1,9 @@
 package poet
 
 import (
+	"encoding/gob"
+	"errors"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -42,38 +45,74 @@ func drainMonitor(t *testing.T, mon *MonitorClient, n int) []*event.Event {
 	return out
 }
 
-func TestDeltaNegotiation(t *testing.T) {
-	_, srv, addr := startServer(t)
-
-	mon, err := DialMonitor(addr)
+// TestDeltaRefusesDenseOnlyMonitorShardReplicaQuery sends hellos
+// without DeltaVC — a peer that would expect full vectors — on every
+// role that receives timestamps. Monitor, shard and replica hellos must
+// get a terminal refusal (ErrSessionRejected on the client side), the
+// query role a closed connection, and none of them a single frame after
+// the refusal, although the collector has events, exports and replication
+// records to send.
+func TestDeltaRefusesDenseOnlyMonitorShardReplicaQuery(t *testing.T) {
+	c := NewCollector()
+	if err := c.EnableReplicationLog(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnableSharding(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(c, t.Logf)
+	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mon.Close()
-	if !mon.Stats().DeltaNegotiated {
-		t.Fatal("default monitor session did not negotiate delta timestamps")
-	}
+	t.Cleanup(func() { _ = srv.Close() })
+	reportAll(t, c, durWorkload(10))
 
-	dense, err := DialMonitor(addr, WithMonitorDeltaVC(false))
-	if err != nil {
-		t.Fatal(err)
+	// silent requires the server to close conn without sending anything.
+	silent := func(role string, conn net.Conn, dec *gob.Decoder) {
+		t.Helper()
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var msg wireMsg
+		if err := dec.Decode(&msg); err == nil {
+			t.Fatalf("%s: refused session received a frame: %+v", role, msg)
+		} else if isTimeout(err) {
+			t.Fatalf("%s: refused session was left open", role)
+		}
 	}
-	defer dense.Close()
-	if dense.Stats().DeltaNegotiated {
-		t.Fatal("WithMonitorDeltaVC(false) session negotiated delta anyway")
-	}
-
-	waitFor(t, func() bool { return srv.WireStats().DeltaSessions == 1 })
-	if st := srv.WireStats(); st.DeltaSessions != 1 {
-		t.Fatalf("DeltaSessions = %d, want 1 (one delta + one dense monitor)", st.DeltaSessions)
+	for _, role := range []string{roleMonitor, roleShard, roleReplica, roleQuery} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := gob.NewEncoder(conn).Encode(hello{Magic: wireMagic, Role: role}); err != nil {
+			t.Fatal(err)
+		}
+		dec := gob.NewDecoder(conn)
+		if role == roleQuery {
+			// No ack on this role: the refusal is the closed connection,
+			// and a request gets no response.
+			_ = gob.NewEncoder(conn).Encode(&queryReq{Op: opGet, Trace: 0, Index: 1})
+			silent(role, conn, dec)
+			continue
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var ack helloAck
+		if err := dec.Decode(&ack); err != nil {
+			t.Fatalf("%s: reading the refusal: %v", role, err)
+		}
+		err = ackErr(ack, role)
+		if !errors.Is(err, ErrSessionRejected) || !strings.Contains(err.Error(), "delta") {
+			t.Fatalf("%s: dense-only hello answered %+v (%v), want a terminal refusal naming delta timestamps", role, ack, err)
+		}
+		silent(role, conn, dec)
 	}
 }
 
 // TestDeltaDenseSparseStreamEquivalence runs the same causally rich
-// stream through three concurrent monitor sessions — delta (default),
-// dense (delta disabled), and delta with sparse stamps — and requires
-// all three to reconstruct exactly the events the in-process collector
-// delivered.
+// stream through two concurrent monitor sessions — dense and sparse
+// stamps, both decoded from delta-encoded frames — and requires both to
+// reconstruct exactly the events the in-process collector delivered.
 func TestDeltaDenseSparseStreamEquivalence(t *testing.T) {
 	c, _, addr := startServer(t)
 
@@ -82,11 +121,6 @@ func TestDeltaDenseSparseStreamEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer delta.Close()
-	dense, err := DialMonitor(addr, WithMonitorDeltaVC(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dense.Close()
 	sparse, err := DialMonitor(addr, WithMonitorSparseClocks())
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +132,7 @@ func TestDeltaDenseSparseStreamEquivalence(t *testing.T) {
 	waitFor(t, func() bool { return c.Delivered() == len(evs) })
 	oracle := c.Ordered()
 
-	for name, mon := range map[string]*MonitorClient{"delta": delta, "dense": dense, "sparse": sparse} {
+	for name, mon := range map[string]*MonitorClient{"delta": delta, "sparse": sparse} {
 		got := drainMonitor(t, mon, len(oracle))
 		for i, e := range got {
 			if !sameEvent(e, oracle[i]) {
@@ -169,9 +203,6 @@ func TestDeltaResumeBaselineReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mon.Close()
-	if !mon.Stats().DeltaNegotiated {
-		t.Fatal("fault-proxy session did not negotiate delta")
-	}
 
 	for i := 0; i < len(oracle); i++ {
 		e, err := mon.Next()
@@ -204,6 +235,39 @@ func TestDeltaDecoderRejectsMissingBaseline(t *testing.T) {
 	vc, err := d.decode(&wireEvent{Trace: 0, Index: 1, VCFull: true, VCTr: []int32{0}, VCN: []int32{1}})
 	if err != nil || vc.Get(0) != 1 {
 		t.Fatalf("decode of baseline frame = %v, %v", vc, err)
+	}
+}
+
+// TestDeltaDecoderRejectsMalformedFrames: frames no encoder produces —
+// more trace indices than values or the reverse, a negative trace
+// index, an index above the ceiling — fail with the named error instead
+// of panicking or allocating for an absurd index, and leave the
+// baseline untouched.
+func TestDeltaDecoderRejectsMalformedFrames(t *testing.T) {
+	for name, w := range map[string]*wireEvent{
+		"more indices than values": {VCTr: []int32{0, 1}, VCN: []int32{1}},
+		"more values than indices": {VCTr: []int32{0}, VCN: []int32{1, 2}},
+		"negative index":           {VCTr: []int32{-1}, VCN: []int32{1}},
+		"index above the ceiling":  {VCTr: []int32{maxWireTrace + 1}, VCN: []int32{1}},
+		"largest int32 index":      {VCTr: []int32{1<<31 - 1}, VCN: []int32{1}},
+	} {
+		d := &deltaDecoder{}
+		if _, err := d.decode(&wireEvent{VCFull: true, VCTr: []int32{2}, VCN: []int32{7}}); err != nil {
+			t.Fatal(err)
+		}
+		w.VCFull = true
+		if _, err := d.decode(w); !errors.Is(err, errMalformedDelta) {
+			t.Fatalf("%s: decode = %v, want errMalformedDelta", name, err)
+		}
+		vc, err := d.decode(&wireEvent{})
+		if err != nil || !vc.Equal(vclock.VC{0, 0, 7}) {
+			t.Fatalf("%s: baseline after the refused frame = %v, %v; want [0 0 7]", name, vc, err)
+		}
+	}
+	// The ceiling itself is a valid index.
+	vc, err := (&deltaDecoder{sparse: true}).decode(&wireEvent{VCFull: true, VCTr: []int32{maxWireTrace}, VCN: []int32{3}})
+	if err != nil || vc.Get(maxWireTrace) != 3 {
+		t.Fatalf("decode at the ceiling = %v, %v", vc, err)
 	}
 }
 
@@ -347,7 +411,7 @@ func TestWireStatsDeltaCounters(t *testing.T) {
 	}
 	waitFor(t, func() bool {
 		st := srv.WireStats()
-		return st.MonitorBytes > 0 && st.VCEntriesSent > 0 && st.DeltaSessions == 1
+		return st.MonitorBytes > 0 && st.VCEntriesSent > 0
 	})
 	st := srv.WireStats()
 	// Dense would ship >= one entry per event per trace; the delta stream

@@ -345,6 +345,54 @@ func TestMonitorReconnectBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestMonitorHandshakeSurvivesSlowLink: a read timeout tuned below the
+// link's round trip must not doom the handshake. Every hello reaches the
+// server 300ms late while the monitor's read timeout is 100ms; the
+// hello/ack exchange runs under the floored handshake deadline, so the
+// first dial and the resume after a cut both complete, and the resumed
+// session delivers the next event.
+func TestMonitorHandshakeSurvivesSlowLink(t *testing.T) {
+	c, _, p := startFaultServer(t)
+	evs := durWorkload(20)
+	reportAll(t, c, evs)
+	waitFor(t, func() bool { return c.Delivered() == len(evs) })
+	oracle := c.Ordered()
+
+	// Only the upstream is slow: the monitor writes nothing after its
+	// hello, so the stream itself (heartbeats every 20ms) flows at once.
+	p.SetLatencyDir(faultnet.ClientToServer, 300*time.Millisecond)
+	mon, err := DialMonitor(p.Addr(),
+		WithMonitorReadTimeout(100*time.Millisecond),
+		WithMonitorReconnect(10*time.Second),
+		WithMonitorBackoff(2*time.Millisecond, 50*time.Millisecond),
+		WithMonitorLog(t.Logf))
+	if err != nil {
+		t.Fatalf("dial over a link slower than the read timeout: %v", err)
+	}
+	defer mon.Close()
+	got := drainMonitor(t, mon, len(oracle))
+	for i := range got {
+		if !sameEvent(got[i], oracle[i]) {
+			t.Fatalf("event %d = %v, want %v", i, got[i].ID, oracle[i].ID)
+		}
+	}
+
+	p.CutAll()
+	if err := c.Report(RawEvent{Trace: "slow-link", Seq: 1, Kind: event.KindInternal, Type: "late"}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := mon.Next()
+	if err != nil {
+		t.Fatalf("next after the cut: %v", err)
+	}
+	if e.Type != "late" {
+		t.Fatalf("resumed stream delivered %v (%s), want the late event", e.ID, e.Type)
+	}
+	if st := mon.Stats(); st.Reconnects != 1 {
+		t.Fatalf("stats = %+v, want exactly one resume", st)
+	}
+}
+
 // TestReporterBufferBoundedUnderOutage: with a small unacked buffer and
 // the server blackholed, Report must block (bounded memory) rather than
 // grow without limit, and must come unstuck when the link heals.

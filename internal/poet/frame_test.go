@@ -32,7 +32,7 @@ func (c *bufConn) Write(p []byte) (int, error)      { return c.buf.Write(p) }
 func (c *bufConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestCoalescedFramesByteIdentical encodes one mixed frame sequence —
-// handshake, trace announcements, dense and delta events, heartbeat,
+// handshake, trace announcements, delta-encoded events, heartbeat,
 // End — through the framed writer (single sends and multi-frame
 // batches) and through a bare gob.Encoder, and requires identical bytes:
 // coalescing changes how the stream is split into writes, never what it
@@ -47,7 +47,7 @@ func TestCoalescedFramesByteIdentical(t *testing.T) {
 		{
 			&wireMsg{Trace: &wireTrace{ID: 0, Name: "p0"}},
 			&wireMsg{Trace: &wireTrace{ID: 1, Name: "p1"}},
-			&wireMsg{Event: toWire(ev(0, 1, vclock.VC{1}))},
+			&wireMsg{Event: toWireDelta(ev(0, 1, vclock.VC{1}), denc)},
 			&wireMsg{Event: toWireDelta(ev(1, 1, vclock.VC{1, 1}), denc)},
 			&wireMsg{Event: toWireDelta(ev(0, 2, vclock.VC{2, 1}), denc)},
 		},

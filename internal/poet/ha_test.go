@@ -202,7 +202,7 @@ func TestAcksWithheldUntilReplicaConfirms(t *testing.T) {
 	t.Cleanup(func() { _ = s.Close() })
 
 	// A mute replica: completes the handshake, then never acks.
-	mute, err := dialRaw(addr, hello{Magic: wireMagic, Role: roleReplica})
+	mute, err := dialRaw(addr, hello{Magic: wireMagic, Role: roleReplica, DeltaVC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestStandbyRejectsSessionsRetriably(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(hello{Magic: wireMagic, Role: roleMonitor}); err != nil {
+	if err := gob.NewEncoder(conn).Encode(hello{Magic: wireMagic, Role: roleMonitor, DeltaVC: true}); err != nil {
 		t.Fatal(err)
 	}
 	var ack helloAck

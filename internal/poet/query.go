@@ -96,7 +96,9 @@ func (s *Server) handleQuery(conn net.Conn, dec *gob.Decoder) error {
 		switch req.Op {
 		case opGet:
 			if e, ok := s.collector.GetEvent(id); ok {
-				resp = queryResp{OK: true, Event: toWire(e)}
+				// Each response is its own delta stream: a fresh
+				// baseline, so the frame carries the full timestamp.
+				resp = queryResp{OK: true, Event: toWireDelta(e, &deltaEncoder{})}
 			} else {
 				resp = queryResp{Error: fmt.Sprintf("unknown event %s", id)}
 			}
@@ -139,7 +141,7 @@ func DialQuery(addr string) (*QueryClient, error) {
 		return nil, fmt.Errorf("poet query: dial: %w", err)
 	}
 	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(hello{Magic: wireMagic, Role: roleQuery}); err != nil {
+	if err := enc.Encode(hello{Magic: wireMagic, Role: roleQuery, DeltaVC: true}); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("poet query: hello: %w", err)
 	}
@@ -166,7 +168,11 @@ func (q *QueryClient) Get(id event.ID) (*event.Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromWire(resp.Event), nil
+	vc, err := (&deltaDecoder{}).decode(resp.Event)
+	if err != nil {
+		return nil, fmt.Errorf("poet query: %w", err)
+	}
+	return resp.Event.event(vc), nil
 }
 
 // GP returns the greatest-predecessor index of id on trace t.

@@ -10,6 +10,7 @@ import (
 
 	"ocep/internal/backoff"
 	"ocep/internal/event"
+	"ocep/internal/pool"
 )
 
 // Warm-standby replication. A primary collector with the replication
@@ -329,7 +330,7 @@ func (s *Server) handleReplica(conn net.Conn, dec *gob.Decoder, h hello) error {
 		_ = fw.Send(&helloAck{Error: err.Error()})
 		return fmt.Errorf("replica %s: %v", conn.RemoteAddr(), err)
 	}
-	if err := fw.Send(&helloAck{OK: true}); err != nil {
+	if err := fw.Send(&helloAck{OK: true, DeltaVC: true}); err != nil {
 		return fmt.Errorf("replica hello ack: %w", err)
 	}
 	s.replicaSessions.Add(1)
@@ -372,6 +373,10 @@ func (s *Server) handleReplica(conn net.Conn, dec *gob.Decoder, h hello) error {
 		}
 		return fw.Send(&wireMsg{End: true})
 	}
+	// Shard records are delta-encoded against this session's baseline;
+	// denc is touched only on this loop, so encoding order is stream
+	// order.
+	denc := &deltaEncoder{}
 	hb := time.NewTimer(s.hbInterval)
 	defer hb.Stop()
 	for {
@@ -385,7 +390,7 @@ func (s *Server) handleReplica(conn net.Conn, dec *gob.Decoder, h hello) error {
 					msg.Trace = &wireTrace{Name: recs[i].Trace}
 				case recs[i].Remote != nil:
 					rs := recs[i].Remote
-					w := toWire(&event.Event{ID: rs.ID, VC: rs.VC})
+					w := toWireDelta(&event.Event{ID: rs.ID, VC: rs.VC}, denc)
 					w.MsgID = rs.MsgID
 					msg.Shard = w
 				default:
@@ -522,14 +527,8 @@ func (s *Server) abort() {
 type ReplicaOption func(*replCfg)
 
 type replCfg struct {
-	reconnectBudget time.Duration
-	backoffBase     time.Duration
-	backoffMax      time.Duration
-	heartbeat       time.Duration
-	peerTimeout     time.Duration
-	dialTimeout     time.Duration
-	writeTimeout    time.Duration
-	logf            func(string, ...any)
+	linkCfg
+	heartbeat time.Duration
 }
 
 // defaultReplicaBudget is deliberately shorter than the client default:
@@ -539,16 +538,9 @@ type replCfg struct {
 const defaultReplicaBudget = 10 * time.Second
 
 func defaultReplCfg() replCfg {
-	return replCfg{
-		reconnectBudget: defaultReplicaBudget,
-		backoffBase:     defaultBackoffBase,
-		backoffMax:      defaultBackoffMax,
-		heartbeat:       defaultHeartbeat,
-		peerTimeout:     defaultPeerTimeout,
-		dialTimeout:     defaultDialTimeout,
-		writeTimeout:    defaultWriteTimeout,
-		logf:            func(string, ...any) {},
-	}
+	c := replCfg{linkCfg: defaultLinkCfg(), heartbeat: defaultHeartbeat}
+	c.reconnectBudget = defaultReplicaBudget
+	return c
 }
 
 // WithReplicaReconnect bounds the cumulative backoff spent redialing the
@@ -587,11 +579,7 @@ func WithReplicaBackoff(base, max time.Duration) ReplicaOption {
 
 // WithReplicaLog routes replication diagnostics to logf.
 func WithReplicaLog(logf func(string, ...any)) ReplicaOption {
-	return func(c *replCfg) {
-		if logf != nil {
-			c.logf = logf
-		}
-	}
+	return func(c *replCfg) { c.setLog(logf) }
 }
 
 // ReplicatorStats are a follower's cumulative replication counters.
@@ -614,8 +602,12 @@ type ReplicatorStats struct {
 // from its exact applied offset.
 type Replicator struct {
 	addr string
+	// eps is a one-endpoint pool: the primary. It paces redials with
+	// the shared backoff schedule.
+	eps  *pool.Pool
 	c    *Collector
 	cfg  replCfg
+	wire frameStats
 
 	mu         sync.Mutex
 	conn       net.Conn
@@ -644,60 +636,38 @@ func FollowPrimary(addr string, c *Collector, opts ...ReplicaOption) (*Replicato
 	}
 	r := &Replicator{
 		addr:   addr,
+		eps:    cfg.newPool([]string{addr}),
 		c:      c,
 		cfg:    cfg,
 		stopCh: make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	conn, dec, err := r.connect()
+	l, err := r.connect(0)
 	if err != nil {
 		return nil, fmt.Errorf("poet replica: %w", err)
 	}
-	go r.run(conn, dec)
+	go r.run(l)
 	return r, nil
 }
 
-// connect dials the primary and completes the replica handshake,
-// resuming from the local collector's ingest count.
-func (r *Replicator) connect() (net.Conn, *gob.Decoder, error) {
-	conn, err := net.DialTimeout("tcp", r.addr, r.cfg.dialTimeout)
+// connect redials the primary within budget, resuming from the local
+// collector's ingest count, and starts the new connection's acker.
+func (r *Replicator) connect(budget time.Duration) (*link, error) {
+	l, err := r.cfg.redial(r.eps, budget, r.stopCh, func() hello {
+		return hello{Role: roleReplica, ReplicaFrom: r.c.IngestCount()}
+	}, &r.wire)
 	if err != nil {
-		return nil, nil, fmt.Errorf("dial: %w", err)
-	}
-	enc := gob.NewEncoder(conn)
-	_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.writeTimeout))
-	applied := r.c.IngestCount()
-	if err := enc.Encode(hello{Magic: wireMagic, Role: roleReplica, ReplicaFrom: applied}); err != nil {
-		_ = conn.Close()
-		return nil, nil, fmt.Errorf("hello: %w", err)
-	}
-	dec := gob.NewDecoder(conn)
-	hsTimeout := r.cfg.peerTimeout
-	if hsTimeout < minHandshakeTimeout {
-		hsTimeout = minHandshakeTimeout
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(hsTimeout))
-	var ack helloAck
-	if err := dec.Decode(&ack); err != nil {
-		_ = conn.Close()
-		return nil, nil, fmt.Errorf("hello ack: %w", err)
-	}
-	if !ack.OK {
-		_ = conn.Close()
-		if ack.Retry {
-			return nil, nil, fmt.Errorf("primary not accepting replicas yet: %s", ack.Error)
-		}
-		return nil, nil, fmt.Errorf("%w: %s", ErrSessionRejected, ack.Error)
+		return nil, err
 	}
 	wake := make(chan struct{}, 1)
 	r.mu.Lock()
-	r.conn = conn
+	r.conn = l.conn
 	r.wake = wake
 	r.mu.Unlock()
 	// Confirmation sender for this connection: an ack immediately after
 	// each applied burst (the barrier's latency), heartbeats when idle.
-	go r.acker(conn, enc, wake)
-	return conn, dec, nil
+	go r.acker(l, wake)
+	return l, nil
 }
 
 // signalAck wakes the current connection's acker; buffered so the apply
@@ -713,7 +683,7 @@ func (r *Replicator) signalAck() {
 }
 
 // acker streams replicaAck frames on one connection until it dies.
-func (r *Replicator) acker(conn net.Conn, enc *gob.Encoder, wake chan struct{}) {
+func (r *Replicator) acker(l *link, wake chan struct{}) {
 	t := time.NewTimer(r.cfg.heartbeat)
 	defer t.Stop()
 	last := -1
@@ -731,9 +701,8 @@ func (r *Replicator) acker(conn net.Conn, enc *gob.Encoder, wake chan struct{}) 
 		if applied == last && !hb {
 			continue
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.writeTimeout))
-		if err := enc.Encode(&replicaAck{Applied: applied, Heartbeat: hb && applied == last}); err != nil {
-			_ = conn.Close()
+		if err := l.fw.Send(&replicaAck{Applied: applied, Heartbeat: hb && applied == last}); err != nil {
+			_ = l.conn.Close()
 			return
 		}
 		last = applied
@@ -746,11 +715,11 @@ func (r *Replicator) acker(conn net.Conn, enc *gob.Encoder, wake chan struct{}) 
 // run is the replica's session loop: apply the stream, reconnect on
 // transport faults, finish on drain, stop, terminal rejection, or
 // budget exhaustion.
-func (r *Replicator) run(conn net.Conn, dec *gob.Decoder) {
+func (r *Replicator) run(l *link) {
 	defer close(r.done)
 	for {
-		cause := r.session(conn, dec)
-		_ = conn.Close()
+		cause := r.session(l)
+		_ = l.conn.Close()
 		if errors.Is(cause, ErrPrimaryDrained) {
 			r.finish(ErrPrimaryDrained)
 			return
@@ -763,17 +732,27 @@ func (r *Replicator) run(conn net.Conn, dec *gob.Decoder) {
 			r.finish(cause)
 			return
 		}
-		c, d, err := r.reconnect(cause)
-		if err != nil {
-			r.finish(err)
+		if r.cfg.reconnectBudget <= 0 {
+			r.finish(fmt.Errorf("poet replica: %w (cause: %v; reconnection disabled)", ErrStreamInterrupted, cause))
 			return
 		}
-		if c == nil {
-			// Stopped mid-backoff: reconnect bailed without a connection.
-			r.finish(nil)
+		next, err := r.connect(r.cfg.reconnectBudget)
+		switch {
+		case errors.Is(err, ErrClientClosed):
+			r.finish(nil) // stopped mid-backoff
+			return
+		case errors.Is(err, ErrSessionRejected):
+			r.finish(fmt.Errorf("poet replica: %w", err))
+			return
+		case err != nil:
+			r.finish(fmt.Errorf("poet replica: %w; primary unreachable: %v", ErrStreamInterrupted, err))
 			return
 		}
-		conn, dec = c, d
+		r.mu.Lock()
+		r.reconnects++
+		r.mu.Unlock()
+		r.cfg.logf("poet replica: resumed replication from %s at offset %d", r.addr, r.c.IngestCount())
+		l = next
 	}
 }
 
@@ -793,11 +772,13 @@ func (d *divergenceError) Error() string { return d.err.Error() }
 func (d *divergenceError) Unwrap() error { return d.err }
 
 // session applies one connection's stream until it ends.
-func (r *Replicator) session(conn net.Conn, dec *gob.Decoder) error {
+func (r *Replicator) session(l *link) error {
+	// Shard records decode against this session's delta baseline.
+	ddec := &deltaDecoder{}
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(r.cfg.peerTimeout))
+		_ = l.conn.SetReadDeadline(time.Now().Add(r.cfg.peerTimeout))
 		var msg wireMsg
-		if err := dec.Decode(&msg); err != nil {
+		if err := l.dec.Decode(&msg); err != nil {
 			if isTimeout(err) {
 				r.cfg.logf("poet replica: no record or heartbeat from %s in %v; reconnecting", r.addr, r.cfg.peerTimeout)
 			}
@@ -818,8 +799,14 @@ func (r *Replicator) session(conn net.Conn, dec *gob.Decoder) error {
 		case msg.Trace != nil:
 			r.c.RegisterTrace(msg.Trace.Name)
 		case msg.Shard != nil:
-			e := fromWire(msg.Shard)
-			if err := r.c.SupplyRemoteSend(msg.Shard.MsgID, e.ID, e.VC); err != nil {
+			vc, err := ddec.decode(msg.Shard)
+			if err != nil {
+				// A desynchronized or malformed record stream is a protocol
+				// fault a redial would only replay.
+				return &divergenceError{fmt.Errorf("poet replica: %w", err)}
+			}
+			id := event.ID{Trace: event.TraceID(msg.Shard.Trace), Index: msg.Shard.Index}
+			if err := r.c.SupplyRemoteSend(msg.Shard.MsgID, id, vc); err != nil {
 				// The primary applied this remote send; a local refusal
 				// (e.g. sharding not enabled here) is a configuration
 				// divergence redialing cannot fix.
@@ -835,42 +822,6 @@ func (r *Replicator) session(conn net.Conn, dec *gob.Decoder) error {
 				return &divergenceError{fmt.Errorf("poet replica: applying %s/%d: %w", msg.Raw.Trace, msg.Raw.Seq, err)}
 			}
 			r.signalAck()
-		}
-	}
-}
-
-// reconnect redials the primary with backoff until the budget is
-// exhausted.
-func (r *Replicator) reconnect(cause error) (net.Conn, *gob.Decoder, error) {
-	if r.cfg.reconnectBudget <= 0 {
-		return nil, nil, fmt.Errorf("poet replica: %w (cause: %v; reconnection disabled)", ErrStreamInterrupted, cause)
-	}
-	bo := backoff.New(r.cfg.backoffBase, r.cfg.backoffMax)
-	var slept time.Duration
-	lastErr := cause
-	for {
-		if r.isStopped() {
-			return nil, nil, nil // run() notices stopped and finishes nil
-		}
-		conn, dec, err := r.connect()
-		if err == nil {
-			r.mu.Lock()
-			r.reconnects++
-			r.mu.Unlock()
-			r.cfg.logf("poet replica: resumed replication from %s at offset %d", r.addr, r.c.IngestCount())
-			return conn, dec, nil
-		}
-		if errors.Is(err, ErrSessionRejected) {
-			return nil, nil, err
-		}
-		lastErr = err
-		d := bo.Next()
-		if slept+d > r.cfg.reconnectBudget {
-			return nil, nil, fmt.Errorf("poet replica: %w; primary unreachable for %v (last error: %v)", ErrStreamInterrupted, r.cfg.reconnectBudget, lastErr)
-		}
-		slept += d
-		if !backoff.Sleep(d, r.stopCh) {
-			return nil, nil, nil
 		}
 	}
 }

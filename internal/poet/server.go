@@ -63,7 +63,6 @@ type Server struct {
 	loadSheds       atomic.Int64
 	monitorBytes    atomic.Int64
 	vcEntriesSent   atomic.Int64
-	deltaSessions   atomic.Int64
 	replicaSessions atomic.Int64
 	replicaEvents   atomic.Int64
 	shardSessions   atomic.Int64
@@ -179,14 +178,9 @@ type WireStats struct {
 	// heartbeats, and handshakes included).
 	MonitorBytes int
 	// VCEntriesSent counts vector-timestamp entries put on the wire to
-	// monitors: the full dense length per event on dense connections,
-	// only the changed entries on delta-negotiated ones. Divide by the
-	// event count for the per-event timestamp cost the delta encoding
-	// is there to shrink.
+	// monitors: the changed entries of each delta-encoded timestamp.
+	// Divide by the event count for the per-event timestamp cost.
 	VCEntriesSent int
-	// DeltaSessions counts monitor sessions that negotiated
-	// delta-encoded timestamps at the handshake.
-	DeltaSessions int
 	// RecoveryDiscarded counts WAL records discarded as torn or corrupt
 	// by startup recovery (0 for a non-durable or cleanly started
 	// server). See RecoveryStats.DiscardedRecords.
@@ -204,8 +198,8 @@ type WireStats struct {
 	// ShardRecords counts export records streamed to peer shards.
 	ShardRecords int
 	// ShardVCEntries counts vector-timestamp entries sent on shard
-	// sessions (changed entries on delta sessions, full vectors on dense
-	// ones) — the wire cost of the cross-shard frontier.
+	// sessions (the changed entries of each delta-encoded timestamp) —
+	// the wire cost of the cross-shard frontier.
 	ShardVCEntries int
 	// Drains counts Drain invocations (0 or 1 in practice: draining is
 	// terminal).
@@ -235,7 +229,6 @@ type serverMetrics struct {
 	loadSheds      *telemetry.Counter
 	monitorBytes   *telemetry.Counter
 	vcEntries      *telemetry.Counter
-	deltaSess      *telemetry.Counter
 	replicaConns   *telemetry.Counter
 	replicaEvents  *telemetry.Counter
 	shardConns     *telemetry.Counter
@@ -265,13 +258,12 @@ func (s *Server) InstrumentMetrics(reg *telemetry.Registry) {
 		monOverflows:   reg.Counter("poet_wire_monitor_overflow_disconnects_total", "Monitors disconnected for overflowing their delivery queue."),
 		loadSheds:      reg.Counter("poet_wire_load_sheds_total", "Events shed back onto reporter buffers after an ErrOverloaded refusal."),
 		monitorBytes:   reg.Counter("poet_wire_monitor_bytes_total", "Bytes written to monitor connections (events, announcements, heartbeats, handshakes)."),
-		vcEntries:      reg.Counter("poet_wire_vc_entries_total", "Vector-timestamp entries sent to monitors (full vectors on dense connections, changed entries on delta connections)."),
-		deltaSess:      reg.Counter("poet_wire_delta_sessions_total", "Monitor sessions that negotiated delta-encoded timestamps."),
+		vcEntries:      reg.Counter("poet_wire_vc_entries_total", "Vector-timestamp entries sent to monitors (the changed entries of each delta-encoded timestamp)."),
 		replicaConns:   reg.Counter("poet_wire_replica_sessions_total", "Accepted replica (warm-standby) sessions."),
 		replicaEvents:  reg.Counter("poet_wire_replica_events_total", "Event records streamed to replica sessions."),
 		shardConns:     reg.Counter("poet_wire_shard_sessions_total", "Accepted peer-shard (cross-shard exchange) sessions."),
 		shardRecords:   reg.Counter("poet_wire_shard_records_total", "Export records streamed to peer shards."),
-		shardVCEntries: reg.Counter("poet_wire_shard_vc_entries_total", "Vector-timestamp entries sent on shard sessions (changed entries on delta sessions)."),
+		shardVCEntries: reg.Counter("poet_wire_shard_vc_entries_total", "Vector-timestamp entries sent on shard sessions (the changed entries of each delta-encoded timestamp)."),
 		drains:         reg.Counter("poet_wire_drains_total", "Drain invocations (orderly shutdowns announced to peers)."),
 	}
 	s.wire.telFrames = reg.Counter("poet_wire_frames_total", "Frames sent on server stream links (acks, monitor, replica and shard streams, handshakes).")
@@ -301,7 +293,6 @@ func (s *Server) WireStats() WireStats {
 		LoadSheds:       int(s.loadSheds.Load()),
 		MonitorBytes:    int(s.monitorBytes.Load()),
 		VCEntriesSent:   int(s.vcEntriesSent.Load()),
-		DeltaSessions:   int(s.deltaSessions.Load()),
 		ReplicaSessions: int(s.replicaSessions.Load()),
 		ReplicaEvents:   int(s.replicaEvents.Load()),
 		ReplicationLag:  s.collector.ReplicationStats().Lag,
@@ -464,6 +455,16 @@ func (s *Server) handle(conn net.Conn) error {
 			return fmt.Errorf("v1 peer rejected: this server speaks %s (the v2 handshake adds acks, resume, and heartbeats)", wireMagic)
 		}
 		return fmt.Errorf("bad magic %q", h.Magic)
+	}
+	// Every timestamp on the wire is delta-encoded: a peer that does not
+	// decode deltas gets a named, terminal refusal instead of frames it
+	// would misread. The query role has no ack, so it is closed.
+	if !h.DeltaVC && (h.Role == roleMonitor || h.Role == roleReplica || h.Role == roleShard || h.Role == roleQuery) {
+		msg := fmt.Sprintf("%s session refused: the peer does not decode delta-encoded timestamps, the only spelling this server sends", h.Role)
+		if h.Role != roleQuery {
+			_ = s.newFrameWriter(conn, nil).Send(&helloAck{Error: msg})
+		}
+		return errors.New(msg)
 	}
 	// An unpromoted standby or a draining server takes no new sessions;
 	// the rejection is marked retriable so endpoint pools rotate to the
@@ -700,18 +701,12 @@ func (s *Server) handleMonitor(conn net.Conn, h hello) error {
 		_ = writeMsg(&helloAck{Error: msg})
 		return fmt.Errorf("monitor %s: %s", conn.RemoteAddr(), msg)
 	}
-	// Timestamp-encoding negotiation: the client advertised DeltaVC and
-	// the echo in the ack seals it. The delta baseline starts at zero on
-	// both sides at this handshake, so reconnects and resumed replays
-	// are re-encoded from scratch — retransmitted suffixes never depend
-	// on state from a dead connection.
-	deltaVC := h.DeltaVC
-	if err := writeMsg(&helloAck{OK: true, DeltaVC: deltaVC}); err != nil {
+	// The delta baseline starts at zero on both sides at this handshake,
+	// so reconnects and resumed replays are re-encoded from scratch —
+	// retransmitted suffixes never depend on state from a dead
+	// connection.
+	if err := writeMsg(&helloAck{OK: true, DeltaVC: true}); err != nil {
 		return fmt.Errorf("hello ack: %w", err)
-	}
-	if deltaVC {
-		s.deltaSessions.Add(1)
-		s.tel.deltaSess.Inc()
 	}
 	if h.ResumeFrom > 0 {
 		s.monitorResumes.Add(1)
@@ -780,19 +775,12 @@ func (s *Server) handleMonitor(conn net.Conn, h hello) error {
 				}
 			}
 			for _, e := range batch {
-				var w *wireEvent
-				if deltaVC {
-					// denc is touched only here, on the subscription's
-					// consumer goroutine, so encoding order equals stream
-					// order — which the delta baseline depends on.
-					w = toWireDelta(e, denc)
-					s.vcEntriesSent.Add(int64(len(w.VCTr)))
-					s.tel.vcEntries.Add(int64(len(w.VCTr)))
-				} else {
-					w = toWire(e)
-					s.vcEntriesSent.Add(int64(len(w.VC)))
-					s.tel.vcEntries.Add(int64(len(w.VC)))
-				}
+				// denc is touched only here, on the subscription's
+				// consumer goroutine, so encoding order equals stream
+				// order — which the delta baseline depends on.
+				w := toWireDelta(e, denc)
+				s.vcEntriesSent.Add(int64(len(w.VCTr)))
+				s.tel.vcEntries.Add(int64(len(w.VCTr)))
 				if err := queue(&wireMsg{Event: w}); err != nil {
 					return err
 				}

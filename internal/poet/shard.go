@@ -251,10 +251,9 @@ func (c *Collector) shardRecordsFrom(idx int) (recs []shardExport, next int, ch 
 // handleShard streams the collector's export log to one peer shard: the
 // suffix past the peer's offset first, then live records as sends are
 // delivered, with idle heartbeats carrying the export head. Timestamps
-// are delta-encoded when the peer negotiated DeltaVC, so an idle or
-// slowly-changing frontier costs a handful of entries per record. The
-// peer never writes after its hello; a background read doubles as the
-// close detector.
+// are delta-encoded, so an idle or slowly-changing frontier costs a
+// handful of entries per record. The peer never writes after its hello;
+// a background read doubles as the close detector.
 func (s *Server) handleShard(conn net.Conn, dec *gob.Decoder, h hello) error {
 	c := s.collector
 	fw := s.newFrameWriter(conn, nil)
@@ -269,7 +268,7 @@ func (s *Server) handleShard(conn net.Conn, dec *gob.Decoder, h hello) error {
 		_ = fw.Send(&helloAck{Error: msg})
 		return fmt.Errorf("shard peer %s: %s", conn.RemoteAddr(), msg)
 	}
-	if err := fw.Send(&helloAck{OK: true, DeltaVC: h.DeltaVC}); err != nil {
+	if err := fw.Send(&helloAck{OK: true, DeltaVC: true}); err != nil {
 		return fmt.Errorf("shard hello ack: %w", err)
 	}
 	s.shardSessions.Add(1)
@@ -296,18 +295,11 @@ func (s *Server) handleShard(conn net.Conn, dec *gob.Decoder, h hello) error {
 		err := fw.Batch(func(queue func(any) error) error {
 			for i := range recs {
 				rec := recs[i]
-				var w *wireEvent
-				if h.DeltaVC {
-					// denc is touched only on this loop, so encoding order
-					// equals stream order — the delta baseline's invariant.
-					w = toWireDelta(&event.Event{ID: rec.ID, VC: rec.VC}, denc)
-					s.shardVCEntries.Add(int64(len(w.VCTr)))
-					s.tel.shardVCEntries.Add(int64(len(w.VCTr)))
-				} else {
-					w = toWire(&event.Event{ID: rec.ID, VC: rec.VC})
-					s.shardVCEntries.Add(int64(len(w.VC)))
-					s.tel.shardVCEntries.Add(int64(len(w.VC)))
-				}
+				// denc is touched only on this loop, so encoding order
+				// equals stream order — the delta baseline's invariant.
+				w := toWireDelta(&event.Event{ID: rec.ID, VC: rec.VC}, denc)
+				s.shardVCEntries.Add(int64(len(w.VCTr)))
+				s.tel.shardVCEntries.Add(int64(len(w.VCTr)))
 				w.MsgID = rec.MsgID
 				if err := queue(&wireMsg{Shard: w, Head: next}); err != nil {
 					return err
@@ -359,27 +351,9 @@ func (s *Server) handleShard(conn net.Conn, dec *gob.Decoder, h hello) error {
 type ShardOption func(*shardCfg)
 
 type shardCfg struct {
-	reconnectBudget time.Duration
-	backoffBase     time.Duration
-	backoffMax      time.Duration
-	peerTimeout     time.Duration
-	dialTimeout     time.Duration
-	writeTimeout    time.Duration
-	breakerAfter    int
-	breakerProbe    time.Duration
-	logf            func(string, ...any)
-}
-
-func defaultShardCfg() shardCfg {
-	return shardCfg{
-		reconnectBudget: defaultReconnectBudget,
-		backoffBase:     defaultBackoffBase,
-		backoffMax:      defaultBackoffMax,
-		peerTimeout:     defaultPeerTimeout,
-		dialTimeout:     defaultDialTimeout,
-		writeTimeout:    defaultWriteTimeout,
-		logf:            func(string, ...any) {},
-	}
+	linkCfg
+	breakerAfter int
+	breakerProbe time.Duration
 }
 
 // WithShardReconnect bounds the cumulative backoff spent per outage
@@ -422,11 +396,7 @@ func WithShardBreaker(n int, probe time.Duration) ShardOption {
 
 // WithShardLog routes shard-exchange diagnostics to logf.
 func WithShardLog(logf func(string, ...any)) ShardOption {
-	return func(c *shardCfg) {
-		if logf != nil {
-			c.logf = logf
-		}
-	}
+	return func(c *shardCfg) { c.setLog(logf) }
 }
 
 // Breaker states, exported both through ShardFollowerStats and as the
@@ -485,6 +455,7 @@ type ShardFollower struct {
 	addrs []string
 	c     *Collector
 	cfg   shardCfg
+	wire  frameStats
 
 	mu          sync.Mutex
 	conn        net.Conn
@@ -510,7 +481,7 @@ type ShardFollower struct {
 // anything else means the peer stayed unreachable past the reconnect
 // budget or the exchange is misconfigured.
 func FollowShardPeer(addrs string, c *Collector, opts ...ShardOption) (*ShardFollower, error) {
-	cfg := defaultShardCfg()
+	cfg := shardCfg{linkCfg: defaultLinkCfg()}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -523,7 +494,7 @@ func FollowShardPeer(addrs string, c *Collector, opts ...ShardOption) (*ShardFol
 	}
 	f := &ShardFollower{
 		peer:        addrs,
-		eps:         pool.New(list, cfg.backoffBase, cfg.backoffMax),
+		eps:         cfg.newPool(list),
 		addrs:       list,
 		c:           c,
 		cfg:         cfg,
@@ -547,7 +518,7 @@ func (e *shardApplyError) Unwrap() error { return e.err }
 func (f *ShardFollower) run() {
 	defer close(f.done)
 	for {
-		conn, dec, delta, err := f.connect()
+		l, err := f.connect()
 		if err != nil {
 			if f.cfg.breakerAfter > 0 && errors.Is(err, ErrStreamInterrupted) {
 				f.mu.Lock()
@@ -557,22 +528,19 @@ func (f *ShardFollower) run() {
 				if !tripped {
 					continue // burn another reconnect budget before tripping
 				}
-				conn, dec, delta, err = f.breakerLoop(err)
-				if err != nil {
-					f.finish(err)
-					return
-				}
-			} else {
+				l, err = f.breakerLoop(err)
+			}
+			if err != nil {
 				f.finish(err)
 				return
 			}
 		}
-		if conn == nil {
+		if l == nil {
 			f.finish(nil) // stopped mid-backoff or mid-probe
 			return
 		}
-		cause := f.session(conn, dec, delta)
-		_ = conn.Close()
+		cause := f.session(l)
+		_ = l.conn.Close()
 		if f.isStopped() {
 			f.finish(nil)
 			return
@@ -586,35 +554,38 @@ func (f *ShardFollower) run() {
 	}
 }
 
+// hello asks for the export log from zero: sessions always re-stream it.
+func (f *ShardFollower) hello() hello { return hello{Role: roleShard} }
+
 // breakerLoop holds the breaker open after cause exhausted the
 // configured number of reconnect budgets: instead of continuous dial
 // loops, the follower sleeps the probe interval, then (half-open) tries
 // one handshake against each pool endpoint. A success closes the
 // breaker and returns the fresh session; a terminal rejection surfaces;
-// anything else reopens. Returns a nil conn when stopped.
-func (f *ShardFollower) breakerLoop(cause error) (net.Conn, *gob.Decoder, bool, error) {
+// anything else reopens. Returns a nil link when stopped.
+func (f *ShardFollower) breakerLoop(cause error) (*link, error) {
 	f.setBreaker(BreakerOpen)
 	f.cfg.logf("poet shard: breaker OPEN for peer %s after %d exhausted reconnect budgets (%v); probing every %v",
 		f.peer, f.cfg.breakerAfter, cause, f.cfg.breakerProbe)
 	for {
 		if !backoff.Sleep(f.cfg.breakerProbe, f.stopCh) {
-			return nil, nil, false, nil
+			return nil, nil
 		}
 		f.setBreaker(BreakerHalfOpen)
 		for _, addr := range f.addrs {
 			if f.isStopped() {
-				return nil, nil, false, nil
+				return nil, nil
 			}
-			conn, dec, delta, err := f.handshake(addr)
+			l, err := f.cfg.handshake(addr, f.hello(), &f.wire)
 			if err == nil {
 				f.eps.Success(addr)
-				f.registerSession(conn)
+				f.registerSession(l.conn)
 				f.setBreaker(BreakerClosed)
 				f.cfg.logf("poet shard: breaker closed; following %s again (export log from zero)", addr)
-				return conn, dec, delta, nil
+				return l, nil
 			}
 			if errors.Is(err, ErrSessionRejected) {
-				return nil, nil, false, err
+				return nil, err
 			}
 		}
 		f.setBreaker(BreakerOpen)
@@ -643,90 +614,37 @@ func (f *ShardFollower) registerSession(conn net.Conn) {
 	f.mu.Unlock()
 }
 
-// connect completes one handshake against the peer's pool, pacing full
-// failed rounds with the shared backoff until the per-outage budget is
-// exhausted.
-func (f *ShardFollower) connect() (net.Conn, *gob.Decoder, bool, error) {
-	var slept time.Duration
-	for {
-		if f.isStopped() {
-			return nil, nil, false, nil
-		}
-		addr := f.eps.Pick()
-		conn, dec, delta, err := f.handshake(addr)
-		if err == nil {
-			f.eps.Success(addr)
-			f.registerSession(conn)
-			f.cfg.logf("poet shard: following %s (export log from zero)", addr)
-			return conn, dec, delta, nil
-		}
-		if errors.Is(err, ErrSessionRejected) {
-			return nil, nil, false, err
-		}
-		d := f.eps.Fail(addr, err)
-		if d == 0 {
-			continue // healthy alternative: try it immediately
-		}
-		if slept+d > f.cfg.reconnectBudget {
-			sum := f.eps.ErrorSummary()
-			if sum == nil {
-				sum = err
-			}
-			return nil, nil, false, fmt.Errorf("poet shard: %w; peer %s unreachable for %v (%v)",
-				ErrStreamInterrupted, f.peer, f.cfg.reconnectBudget, sum)
-		}
-		slept += d
-		if !backoff.Sleep(d, f.stopCh) {
-			return nil, nil, false, nil
-		}
+// connect redials the peer's pool within the per-outage budget. The
+// first dial goes through it too: at tier start-up the peers come up in
+// arbitrary order. Returns a nil link when stopped.
+func (f *ShardFollower) connect() (*link, error) {
+	l, err := f.cfg.redial(f.eps, f.cfg.reconnectBudget, f.stopCh, f.hello, &f.wire)
+	switch {
+	case errors.Is(err, ErrClientClosed):
+		return nil, nil
+	case errors.Is(err, ErrSessionRejected):
+		return nil, err
+	case err != nil:
+		return nil, fmt.Errorf("poet shard: %w; peer %s unreachable: %v", ErrStreamInterrupted, f.peer, err)
 	}
-}
-
-func (f *ShardFollower) handshake(addr string) (net.Conn, *gob.Decoder, bool, error) {
-	conn, err := net.DialTimeout("tcp", addr, f.cfg.dialTimeout)
-	if err != nil {
-		return nil, nil, false, fmt.Errorf("dial: %w", err)
-	}
-	enc := gob.NewEncoder(conn)
-	_ = conn.SetWriteDeadline(time.Now().Add(f.cfg.writeTimeout))
-	if err := enc.Encode(hello{Magic: wireMagic, Role: roleShard, ResumeFrom: 0, DeltaVC: true}); err != nil {
-		_ = conn.Close()
-		return nil, nil, false, fmt.Errorf("hello: %w", err)
-	}
-	dec := gob.NewDecoder(conn)
-	hsTimeout := f.cfg.peerTimeout
-	if hsTimeout < minHandshakeTimeout {
-		hsTimeout = minHandshakeTimeout
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(hsTimeout))
-	var ack helloAck
-	if err := dec.Decode(&ack); err != nil {
-		_ = conn.Close()
-		return nil, nil, false, fmt.Errorf("hello ack: %w", err)
-	}
-	if !ack.OK {
-		_ = conn.Close()
-		if ack.Retry {
-			return nil, nil, false, fmt.Errorf("session deferred: %s", ack.Error)
-		}
-		return nil, nil, false, fmt.Errorf("%w: %s", ErrSessionRejected, ack.Error)
-	}
-	return conn, dec, ack.DeltaVC, nil
+	f.registerSession(l.conn)
+	f.cfg.logf("poet shard: following %s (export log from zero)", l.addr)
+	return l, nil
 }
 
 // session applies one connection's export stream until it ends.
-func (f *ShardFollower) session(conn net.Conn, dec *gob.Decoder, delta bool) error {
+func (f *ShardFollower) session(l *link) error {
 	defer func() {
 		f.mu.Lock()
 		f.connected = false
 		f.mu.Unlock()
 	}()
 	ddec := &deltaDecoder{sparse: f.c.SparseClocks()}
-	addr := conn.RemoteAddr().String()
+	addr := l.addr
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(f.cfg.peerTimeout))
+		_ = l.conn.SetReadDeadline(time.Now().Add(f.cfg.peerTimeout))
 		var msg wireMsg
-		if err := dec.Decode(&msg); err != nil {
+		if err := l.dec.Decode(&msg); err != nil {
 			if isTimeout(err) {
 				f.cfg.logf("poet shard: no record or heartbeat from %s in %v; reconnecting", addr, f.cfg.peerTimeout)
 			}
@@ -754,15 +672,9 @@ func (f *ShardFollower) session(conn net.Conn, dec *gob.Decoder, delta bool) err
 		case msg.Heartbeat:
 			// Head already tracked above.
 		case msg.Shard != nil:
-			var vc vclock.Clock
-			if delta {
-				c, err := ddec.decode(msg.Shard)
-				if err != nil {
-					return &shardApplyError{fmt.Errorf("poet shard: %w", err)}
-				}
-				vc = c
-			} else {
-				vc = vclock.VC(msg.Shard.VC)
+			vc, err := ddec.decode(msg.Shard)
+			if err != nil {
+				return &shardApplyError{fmt.Errorf("poet shard: %w", err)}
 			}
 			id := event.ID{Trace: event.TraceID(msg.Shard.Trace), Index: msg.Shard.Index}
 			if err := f.c.SupplyRemoteSend(msg.Shard.MsgID, id, vc); err != nil {

@@ -3,6 +3,7 @@ package poet
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 
 	"ocep/internal/event"
@@ -10,9 +11,9 @@ import (
 )
 
 // Wire protocol v2 ("OCEP-POET-2"): every connection opens with a hello
-// naming its role; the server answers target and monitor hellos with a
-// helloAck (query connections keep their request/response framing).
-// After the handshake:
+// naming its role; the server answers target, monitor, replica and
+// shard hellos with a helloAck (query connections keep their
+// request/response framing). After the handshake:
 //
 //   - target connections stream targetMsg frames (events or idle
 //     heartbeats) and receive periodic serverAck frames carrying the
@@ -21,7 +22,9 @@ import (
 //   - monitor connections receive wireMsg frames: trace announcements,
 //     events, idle heartbeats, and an explicit End frame on graceful
 //     shutdown, so an abrupt peer death is distinguishable from a clean
-//     end of stream.
+//     end of stream;
+//   - replica and shard connections receive wireMsg record streams
+//     (replication.go, shard.go).
 //
 // Reconnecting peers resume: a target hello names the traces it is
 // retransmitting (the helloAck returns the server's ack for each, so
@@ -30,7 +33,15 @@ import (
 // so the server replays only the suffix. Everything is gob-encoded
 // through a per-connection frame buffer that is flushed when a batch of
 // frames is drained (frame.go); the bytes are those of a bare encoder on
-// the connection.
+// the connection. The client half of every handshake and reconnect is
+// one function and one loop (link.go).
+//
+// Every vector timestamp on the wire is delta-encoded (wireEvent). A
+// hello advertises that its peer decodes deltas with DeltaVC; the server
+// refuses a monitor, shard, replica or query hello without it — a
+// terminal helloAck rejection, or a closed connection for the ack-less
+// query role — so a peer that expects full vectors gets a named refusal,
+// never frames it would decode wrong.
 //
 // Compatibility: the magic bump from OCEP-POET-1 is deliberate — v1
 // peers did not read a helloAck and had no ack/heartbeat/resume frames,
@@ -60,11 +71,10 @@ type hello struct {
 	// Traces (target role) names the traces the reporter has unacked
 	// events for; the helloAck returns the server's ack for each.
 	Traces []string
-	// DeltaVC (monitor role) advertises that the client can decode
-	// delta-encoded vector timestamps. The server echoes it in the
-	// helloAck when it agrees; either side left at false keeps the
-	// connection on dense clocks. gob ignores unknown fields, so v2
-	// peers that predate the flag negotiate dense without a magic bump.
+	// DeltaVC advertises that the client decodes delta-encoded vector
+	// timestamps, the only spelling the server sends. Monitor, shard,
+	// replica and query hellos without it are refused. A new-in-struct
+	// gob field: v2 peers that predate it read as false.
 	DeltaVC bool
 	// ReplicaFrom (replica role) is the number of event records the
 	// replica has already applied; the server replays the record stream
@@ -79,17 +89,17 @@ const wireMagic = "OCEP-POET-2"
 // wireMagicV1 is recognized only to produce a targeted rejection.
 const wireMagicV1 = "OCEP-POET-1"
 
-// helloAck is the server's handshake response to target and monitor
-// hellos.
+// helloAck is the server's handshake response to target, monitor,
+// replica and shard hellos.
 type helloAck struct {
 	OK    bool
 	Error string
 	// Acks (target role) is the server's contiguous ingest position for
 	// each trace named in the hello.
 	Acks []traceAck
-	// DeltaVC confirms delta-encoded timestamps for this monitor
-	// session. False from a server that predates the flag (gob zeroes
-	// missing fields), so the client falls back to dense.
+	// DeltaVC confirms delta-encoded timestamps on monitor, shard and
+	// replica sessions. A server that leaves it false would send full
+	// vectors, so clients refuse its session.
 	DeltaVC bool
 	// Retry marks a rejection as retriable: the server is a standby
 	// awaiting promotion or is draining, so the same hello may succeed
@@ -154,8 +164,8 @@ type wireMsg struct {
 	Head int
 	// Shard is one cross-shard export record: a stamped send event
 	// another shard may need to deliver a receive. Only the identity,
-	// timestamp, and MsgID fields are meaningful; the timestamp travels
-	// dense or delta-encoded exactly like monitor frames. Shard records
+	// timestamp, and MsgID fields are meaningful; the timestamp is
+	// delta-encoded exactly like monitor frames. Shard records
 	// also appear on replica sessions, placed at the position the
 	// primary applied them, so a standby rebuilds the identical
 	// linearization. New-in-struct gob field: no magic bump.
@@ -177,18 +187,15 @@ type wireTrace struct {
 	Name string
 }
 
-// wireEvent is a delivered event in transit. The timestamp travels in
-// exactly one of two spellings, fixed per connection at the handshake:
-//
-//   - dense (DeltaVC not negotiated): VC carries the full vector;
-//   - delta (DeltaVC negotiated): VCTr/VCN carry only the entries whose
-//     value differs from the previous event sent on this connection,
-//     including explicit zero values for entries that vanished (the
-//     linearization interleaves traces, so timestamps are not
-//     per-component monotone along the stream). The baseline is the
-//     all-zero vector at handshake time, so the first event's delta is
-//     its full set of nonzero entries; VCFull marks that frame so a
-//     desynchronized decoder fails loudly instead of mis-stamping.
+// wireEvent is a delivered event in transit. Its timestamp is
+// delta-encoded: VCTr/VCN carry only the entries whose value differs
+// from the previous event sent on this connection, including explicit
+// zero values for entries that vanished (the linearization interleaves
+// traces, so timestamps are not per-component monotone along the
+// stream). The baseline is the all-zero vector at handshake time, so
+// the first event's delta is its full set of nonzero entries; VCFull
+// marks that frame so a desynchronized decoder fails loudly instead of
+// mis-stamping. A query response is encoded against a fresh baseline.
 //
 // Reconnect/resume safety falls out of the handshake reset: every
 // (re)connection re-runs the hello, both sides restart from the zero
@@ -197,7 +204,6 @@ type wireEvent struct {
 	Trace, Index               int
 	Kind                       event.Kind
 	Type, Text                 string
-	VC                         vclock.VC
 	PartnerTrace, PartnerIndex int
 	// VCTr/VCN are the delta entries: parallel (trace, new value) pairs.
 	VCTr, VCN []int32
@@ -210,42 +216,8 @@ type wireEvent struct {
 	MsgID uint64
 }
 
-func toWire(e *event.Event) *wireEvent {
-	return &wireEvent{
-		Trace:        int(e.ID.Trace),
-		Index:        e.ID.Index,
-		Kind:         e.Kind,
-		Type:         e.Type,
-		Text:         e.Text,
-		VC:           denseView(e.VC),
-		PartnerTrace: int(e.Partner.Trace),
-		PartnerIndex: e.Partner.Index,
-	}
-}
-
-func fromWire(w *wireEvent) *event.Event {
-	return &event.Event{
-		ID:      event.ID{Trace: event.TraceID(w.Trace), Index: w.Index},
-		Kind:    w.Kind,
-		Type:    w.Type,
-		Text:    w.Text,
-		VC:      vclock.VC(w.VC),
-		Partner: event.ID{Trace: event.TraceID(w.PartnerTrace), Index: w.PartnerIndex},
-	}
-}
-
-// denseView returns a dense read-only view of c: the clock itself when
-// it is already dense (stamps are immutable once delivered, so sharing
-// is safe for encoding), a dense copy otherwise.
-func denseView(c vclock.Clock) vclock.VC {
-	if v, ok := c.(vclock.VC); ok {
-		return v
-	}
-	return vclock.DenseOf(c)
-}
-
-// toWireDelta is toWire with the timestamp delta-encoded against d's
-// baseline instead of carried as a full vector.
+// toWireDelta converts e for the wire, delta-encoding its timestamp
+// against d's baseline.
 func toWireDelta(e *event.Event, d *deltaEncoder) *wireEvent {
 	w := &wireEvent{
 		Trace:        int(e.ID.Trace),
@@ -258,6 +230,19 @@ func toWireDelta(e *event.Event, d *deltaEncoder) *wireEvent {
 	}
 	d.encode(e.VC, w)
 	return w
+}
+
+// event rebuilds the delivered event, stamped with vc (the timestamp a
+// deltaDecoder reconstructed from w).
+func (w *wireEvent) event(vc vclock.Clock) *event.Event {
+	return &event.Event{
+		ID:      event.ID{Trace: event.TraceID(w.Trace), Index: w.Index},
+		Kind:    w.Kind,
+		Type:    w.Type,
+		Text:    w.Text,
+		VC:      vc,
+		Partner: event.ID{Trace: event.TraceID(w.PartnerTrace), Index: w.PartnerIndex},
+	}
 }
 
 // deltaEncoder turns event timestamps into per-connection deltas. It
@@ -304,35 +289,13 @@ func vclockGet(c vclock.Clock, t int) int {
 	return c.Get(t)
 }
 
-// byteCounter is an io.Writer that only counts.
-type byteCounter struct{ n int64 }
-
-func (b *byteCounter) Write(p []byte) (int, error) {
-	b.n += int64(len(p))
-	return len(p), nil
-}
-
-// MeasureWire gob-encodes evs exactly as one monitor session would —
-// dense or delta-encoded timestamps — and reports the encoded bytes and
-// the number of timestamp entries shipped. The delta variant buffers
-// its stream, decodes it back, and verifies every reconstructed
-// timestamp against the original, so a measurement run doubles as a
-// codec differential; the dense variant streams into a pure counter
-// (a dense stream at tens of thousands of traces is too large to hold).
-// Supports the -tracescale experiment; not on the serving path.
-func MeasureWire(evs []*event.Event, delta bool) (wireBytes int64, vcEntries int, err error) {
-	if !delta {
-		var bc byteCounter
-		enc := gob.NewEncoder(&bc)
-		for _, e := range evs {
-			w := toWire(e)
-			vcEntries += len(w.VC)
-			if err := enc.Encode(&wireMsg{Event: w}); err != nil {
-				return bc.n, vcEntries, err
-			}
-		}
-		return bc.n, vcEntries, nil
-	}
+// MeasureWire gob-encodes evs exactly as one monitor session would and
+// reports the encoded bytes and the number of timestamp entries shipped.
+// It decodes the stream back and verifies every reconstructed timestamp
+// against the original, so a measurement run doubles as a codec
+// differential. Supports the -tracescale experiment; not on the serving
+// path.
+func MeasureWire(evs []*event.Event) (wireBytes int64, vcEntries int, err error) {
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
 	denc := &deltaEncoder{}
@@ -362,8 +325,20 @@ func MeasureWire(evs []*event.Event, delta bool) (wireBytes int64, vcEntries int
 	return wireBytes, vcEntries, nil
 }
 
+// errMalformedDelta reports a delta-encoded timestamp no encoder
+// produces: mismatched index and value counts, a negative trace index,
+// or an index above maxWireTrace. The decoder refuses such a frame
+// before touching its baseline.
+var errMalformedDelta = errors.New("poet: malformed delta timestamp")
+
+// maxWireTrace is the largest trace index a delta frame may name. It
+// bounds what one frame can make a decoder allocate (a dense baseline
+// of 4*(maxWireTrace+1) bytes, 1 MiB) while leaving room for 262,144
+// traces, more than 25 times the largest measured tier.
+const maxWireTrace = 1<<18 - 1
+
 // deltaDecoder reconstructs timestamps from per-connection deltas on
-// the monitor client side. A fresh decoder is installed on every
+// the receiving side of a session. A fresh decoder is installed on every
 // (re)connection, restoring the all-zero baseline the server restarts
 // from.
 type deltaDecoder struct {
@@ -376,6 +351,14 @@ type deltaDecoder struct {
 // decode applies w's delta entries to the baseline and returns the
 // event's timestamp as an independent clock.
 func (d *deltaDecoder) decode(w *wireEvent) (vclock.Clock, error) {
+	if len(w.VCTr) != len(w.VCN) {
+		return nil, fmt.Errorf("%w: event %d/%d has %d trace indices and %d values", errMalformedDelta, w.Trace, w.Index, len(w.VCTr), len(w.VCN))
+	}
+	for _, t := range w.VCTr {
+		if t < 0 || t > maxWireTrace {
+			return nil, fmt.Errorf("%w: event %d/%d names trace index %d outside [0, %d]", errMalformedDelta, w.Trace, w.Index, t, maxWireTrace)
+		}
+	}
 	if !d.seen && !w.VCFull {
 		return nil, fmt.Errorf("poet: delta-encoded event %d/%d without a baseline frame (decoder out of sync)", w.Trace, w.Index)
 	}

@@ -1,8 +1,8 @@
 // Package pool tracks a set of collector endpoints and decides, after
 // each connection outcome, which endpoint a client should try next and
 // how long it should wait first. It is the client half of the sharded
-// collector tier: the reporter and monitor reconnect loops feed every
-// dial/handshake result into a Pool and follow its verdicts, so
+// collector tier: the wire clients' one redial loop feeds every
+// dial/handshake result into a Pool and follows its verdicts, so
 // failover policy — rotate to a healthy peer immediately, back off only
 // once the whole set has failed a round, never mask a terminal
 // rejection — lives in one place instead of being re-derived per
@@ -52,8 +52,8 @@ type endpoint struct {
 }
 
 // Pool is a rotation of endpoints with per-endpoint health. All methods
-// are safe for concurrent use, though the reconnect loops that drive it
-// are single-goroutine per client.
+// are safe for concurrent use, though the redial loop that drives it
+// is single-goroutine per client.
 type Pool struct {
 	mu        sync.Mutex
 	eps       []*endpoint
