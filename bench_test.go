@@ -289,7 +289,13 @@ func BenchmarkAblation(b *testing.B) {
 // reconstruction and vector-clock assignment per reported event. One op
 // replays the whole stream into a fresh collector, so the per-event
 // figures (ns/event, allocs/event) include the collector's warm-up at a
-// fixed share and do not depend on -benchtime.
+// fixed share and do not depend on -benchtime. retained-B/event is the
+// heap the last op's collector still holds after a GC, per event.
+//
+// The variants are the collector configurations that run in practice:
+// plain is the library default, replicated is every non-evicting poetd
+// (the replication log is always on), durable adds the RetainLog gate a
+// durable poetd enables for its snapshots (without the disk I/O).
 func BenchmarkCollector(b *testing.B) {
 	wl := cachedWorkload(b, bench.GenConfig{
 		Case: bench.CaseOrdering, Traces: 50,
@@ -299,45 +305,64 @@ func BenchmarkCollector(b *testing.B) {
 	// collectors.
 	ordered := wl.Collector.Ordered()
 	st := wl.Collector.Store()
-	type raw struct {
-		trace string
-		seq   int
-		kind  event.Kind
-		msgID uint64
-	}
-	raws := make([]raw, len(ordered))
+	raws := make([]poet.RawEvent, len(ordered))
 	msg := uint64(0)
 	ids := map[event.ID]uint64{}
 	for i, e := range ordered {
-		r := raw{trace: st.TraceName(e.ID.Trace), seq: e.ID.Index, kind: e.Kind}
+		r := poet.RawEvent{Trace: st.TraceName(e.ID.Trace), Seq: e.ID.Index, Kind: e.Kind, Type: "x"}
 		switch {
 		case e.Kind == event.KindSend || e.Kind == event.KindSyncRelease:
 			msg++
 			ids[e.ID] = msg
-			r.msgID = msg
+			r.MsgID = msg
 		case e.Kind == event.KindReceive || e.Kind == event.KindSyncAcquire:
-			r.msgID = ids[e.Partner]
+			r.MsgID = ids[e.Partner]
 		}
 		raws[i] = r
 	}
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := poet.NewCollector()
-		for _, r := range raws {
-			err := c.Report(poet.RawEvent{
-				Trace: r.trace, Seq: r.seq, Kind: r.kind, Type: "x", MsgID: r.msgID,
-			})
-			if err != nil {
+	variants := []struct {
+		name  string
+		setup func(*poet.Collector)
+	}{
+		{"plain", func(*poet.Collector) {}},
+		{"replicated", func(c *poet.Collector) {
+			if err := c.EnableReplicationLog(); err != nil {
 				b.Fatal(err)
 			}
-		}
+		}},
+		{"durable", func(c *poet.Collector) {
+			if err := c.EnableReplicationLog(); err != nil {
+				b.Fatal(err)
+			}
+			c.RetainLog()
+		}},
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&ms1)
-	events := float64(b.N) * float64(len(raws))
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
-	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/events, "allocs/event")
+	for _, v := range variants {
+		b.Run(v.name, func(b *testing.B) {
+			var ms0, ms1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var c *poet.Collector
+			for i := 0; i < b.N; i++ {
+				c = poet.NewCollector()
+				v.setup(c)
+				for _, r := range raws {
+					if err := c.Report(r); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			events := float64(b.N) * float64(len(raws))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/events, "allocs/event")
+			runtime.GC()
+			runtime.ReadMemStats(&ms1)
+			b.ReportMetric((float64(ms1.HeapAlloc)-float64(ms0.HeapAlloc))/float64(len(raws)), "retained-B/event")
+			runtime.KeepAlive(c)
+		})
+	}
 }

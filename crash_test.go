@@ -123,8 +123,8 @@ func TestCrashKilledPoetdMatchesCrashFreeRun(t *testing.T) {
 	if err := rep.Flush(); err != nil {
 		t.Fatalf("flush after %d kills: %v", kills, err)
 	}
-	waitCounter(t, "monitor to consume the full recovered stream",
-		reg.FindCounter("ocep_monitor_events_total"), int64(len(events)))
+	waitMonitorCaughtUp(t, "monitor to consume the full recovered stream",
+		reg, mon, int64(len(events)), &mu, &matches)
 
 	// Clean shutdown of the final incarnation: SIGTERM snapshots, sends
 	// End to the monitor, and Run returns nil.

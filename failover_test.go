@@ -207,8 +207,8 @@ func runFailoverCase(t *testing.T, poetd string, tc failoverCase) {
 	if err := rep.Flush(); err != nil {
 		t.Fatalf("flush after failover: %v", err)
 	}
-	waitCounter(t, "monitor to consume the full stream across the failover",
-		reg.FindCounter("ocep_monitor_events_total"), int64(len(events)))
+	waitMonitorCaughtUp(t, "monitor to consume the full stream across the failover",
+		reg, mon, int64(len(events)), &mu, &matches)
 
 	// SIGINT ends the promoted standby immediately and cleanly: monitor
 	// queues are flushed and End frames sent, so Run returns nil.

@@ -73,6 +73,10 @@ func (k Kind) String() string {
 	}
 }
 
+// Valid reports whether k is one of the defined kinds (the zero value
+// and anything past KindSyncRelease are not).
+func (k Kind) Valid() bool { return k >= KindInternal && k <= KindSyncRelease }
+
 // IsComm reports whether the kind establishes causality with another
 // trace (anything but an internal event).
 func (k Kind) IsComm() bool { return k != KindInternal && k != 0 }
@@ -100,6 +104,10 @@ type Event struct {
 	// receive of a send, the matching send of a receive, the release
 	// granted by an acquire). Zero when there is none or it is unknown.
 	Partner ID
+	// MsgID is the message identifier the event was reported with (zero
+	// for internal events). The collector keeps it so a stored event
+	// reproduces its raw report exactly; wire consumers leave it zero.
+	MsgID uint64
 }
 
 // Before reports whether e happens before other.

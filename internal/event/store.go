@@ -75,6 +75,15 @@ func (s *Store) TraceName(t TraceID) string {
 	return fmt.Sprintf("t%d", int(t))
 }
 
+// RegisteredName returns the name t was registered or named with,
+// exactly: "" when it has none, where TraceName substitutes "t<N>".
+func (s *Store) RegisteredName(t TraceID) string {
+	if int(t) < len(s.names) {
+		return s.names[t]
+	}
+	return ""
+}
+
 // TraceByName returns the ID registered for name.
 func (s *Store) TraceByName(name string) (TraceID, bool) {
 	id, ok := s.byName[name]

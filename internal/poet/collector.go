@@ -63,6 +63,11 @@ var ErrStaleEvent = errors.New("poet: stale or duplicate raw event")
 // transparently, shedding load onto the reporter's bounded buffer).
 var ErrOverloaded = errors.New("poet: collector overloaded")
 
+// ErrInvalidKind reports a raw event whose Kind is not one of the
+// defined event kinds (including the unset zero value): a malformed
+// frame, WAL record or dump entry, refused before it is ingested.
+var ErrInvalidKind = errors.New("poet: invalid event kind")
+
 // Collector ingests raw events, reconstructs causality, and delivers
 // stamped events in a linearization of the partial order. It is safe for
 // concurrent use by multiple reporting goroutines.
@@ -97,15 +102,15 @@ type Collector struct {
 	nextHandler int
 	delivered   int
 	// order is the delivery order of all events: the linearization of
-	// the partial order that clients observe.
+	// the partial order that clients observe. Together with the store it
+	// is the collector's only per-event copy; Dump, snapshots and the
+	// replication log read raw events back out of it.
 	order []*event.Event
-	// log accumulates delivered raw events for Dump when retention is
-	// enabled.
-	log       []RawEvent
+	// retainLog gates Dump and snapshots (see RetainLog).
 	retainLog bool
-	// retainedFrom is the delivered count when retention was enabled: a
-	// nonzero value means the log is a suffix and a dump of it would be
-	// silently incomplete, so Dump refuses.
+	// retainedFrom is the delivered count when RetainLog was called: a
+	// nonzero value means the caller asked for a dump only after
+	// delivery began, so Dump refuses rather than guess its intent.
 	retainedFrom int
 	// retain, when positive, bounds len(order): SetRetention trims the
 	// linearization log (and compacts the store) once it exceeds the
@@ -190,7 +195,7 @@ func (c *Collector) InstrumentMetrics(reg *telemetry.Registry) {
 	c.tel = collectorMetrics{
 		ingested:     reg.Counter("poet_ingested_events_total", "Raw events accepted by the collector."),
 		stale:        reg.Counter("poet_stale_reports_total", "Reports rejected as stale or duplicate (idempotent retransmit no-ops)."),
-		rejected:     reg.Counter("poet_rejected_reports_total", "Reports rejected as malformed (bad sequence, missing message id, duplicate message id)."),
+		rejected:     reg.Counter("poet_rejected_reports_total", "Reports rejected as malformed (bad sequence, invalid kind, missing message id, duplicate message id)."),
 		overloaded:   reg.Counter("poet_overloaded_reports_total", "Reports refused by admission control (ErrOverloaded)."),
 		delivered:    reg.Counter("poet_delivered_events_total", "Events stamped and published in linearization order."),
 		evicted:      reg.Counter("poet_retention_evicted_total", "Delivered events evicted from the linearization log by SetRetention."),
@@ -251,9 +256,11 @@ func NewCollector() *Collector {
 	}
 }
 
-// RetainLog makes the collector keep the delivered raw events so Dump can
-// write them out. Off by default: a million-event run should not retain
-// twice.
+// RetainLog enables Dump (and durability snapshots). Call it before the
+// first delivery; SetRetention then refuses the collector, so the
+// linearization a dump is written from stays whole. It copies nothing:
+// Dump rebuilds each raw event from the delivered event it became, so a
+// million-event run never retains twice.
 func (c *Collector) RetainLog() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -503,7 +510,7 @@ func (c *Collector) RegisterTrace(name string) event.TraceID {
 		// Same ordering requirement as the WAL trace record: replicas
 		// must register this trace at the same point of the record
 		// stream, or their trace numbering would diverge.
-		c.repl.appendLocked(repRecord{Trace: name})
+		c.repl.appendLocked(repRef{trace: id})
 	}
 	c.mu.Unlock()
 	if seq >= 0 {
@@ -743,7 +750,7 @@ func (c *Collector) TraceStats() []TraceStat {
 // subscriber.
 func (c *Collector) Report(raw RawEvent) error {
 	c.mu.Lock()
-	err := c.reportLocked(raw)
+	t, err := c.reportLocked(raw)
 	switch {
 	case err == nil:
 		c.ingests++
@@ -751,7 +758,7 @@ func (c *Collector) Report(raw RawEvent) error {
 			// Record order must equal ingestion order, exactly like the
 			// WAL: a replica applying this stream rebuilds the identical
 			// collector, which is what makes failover exact.
-			c.repl.appendLocked(repRecord{Event: raw})
+			c.repl.appendLocked(repRef{trace: t, n: uint64(raw.Seq)})
 		}
 		c.tel.ingested.Inc()
 		c.maybeTrimLocked()
@@ -807,31 +814,35 @@ func (c *Collector) Report(raw RawEvent) error {
 	return err
 }
 
-func (c *Collector) reportLocked(raw RawEvent) error {
+// reportLocked ingests raw and returns the ID of its trace.
+func (c *Collector) reportLocked(raw RawEvent) (event.TraceID, error) {
 	if raw.Seq < 1 {
-		return fmt.Errorf("poet: event on %q has sequence %d: %w", raw.Trace, raw.Seq, ErrStaleEvent)
+		return 0, fmt.Errorf("poet: event on %q has sequence %d: %w", raw.Trace, raw.Seq, ErrStaleEvent)
+	}
+	if !raw.Kind.Valid() {
+		return 0, fmt.Errorf("poet: event %q/%d has kind %d: %w", raw.Trace, raw.Seq, int(raw.Kind), ErrInvalidKind)
 	}
 	if isRecvLike(raw.Kind) && raw.MsgID == 0 {
-		return fmt.Errorf("poet: receive on %q/%d has no message id", raw.Trace, raw.Seq)
+		return 0, fmt.Errorf("poet: receive on %q/%d has no message id", raw.Trace, raw.Seq)
 	}
 	t := c.ensureTrace(raw.Trace)
 	if raw.Seq < c.nextSeq[t] {
-		return fmt.Errorf("poet: event %q/%d already delivered: %w", raw.Trace, raw.Seq, ErrStaleEvent)
+		return 0, fmt.Errorf("poet: event %q/%d already delivered: %w", raw.Trace, raw.Seq, ErrStaleEvent)
 	}
 	if _, dup := c.pending[t][raw.Seq]; dup {
-		return fmt.Errorf("poet: event %q/%d already buffered: %w", raw.Trace, raw.Seq, ErrStaleEvent)
+		return 0, fmt.Errorf("poet: event %q/%d already buffered: %w", raw.Trace, raw.Seq, ErrStaleEvent)
 	}
 	// Admission control: never refuse the trace's delivery head (it is
 	// what drains the backlog — refusing it would wedge the trace), but
 	// an out-of-order event beyond the per-trace buffer cap is shed back
 	// to the reporter, which retains and retransmits it.
 	if c.admission > 0 && raw.Seq != c.nextSeq[t] && len(c.pending[t]) >= c.admission {
-		return fmt.Errorf("poet: trace %q has %d buffered events awaiting causal predecessors: %w",
+		return 0, fmt.Errorf("poet: trace %q has %d buffered events awaiting causal predecessors: %w",
 			raw.Trace, len(c.pending[t]), ErrOverloaded)
 	}
 	if isSendLike(raw.Kind) && raw.MsgID != 0 {
 		if c.sendersSeen[raw.MsgID] {
-			return fmt.Errorf("poet: duplicate message id %d from %q/%d", raw.MsgID, raw.Trace, raw.Seq)
+			return 0, fmt.Errorf("poet: duplicate message id %d from %q/%d", raw.MsgID, raw.Trace, raw.Seq)
 		}
 		c.sendersSeen[raw.MsgID] = true
 		// The sender turned out to be local after all: any receive held
@@ -840,7 +851,24 @@ func (c *Collector) reportLocked(raw RawEvent) error {
 	}
 	c.pending[t][raw.Seq] = raw
 	c.drain(t)
-	return nil
+	return t, nil
+}
+
+// rawEventLocked returns the raw event ingested at (t, seq): rebuilt
+// from the stored event once delivered, the buffered report while held.
+func (c *Collector) rawEventLocked(t event.TraceID, seq int) RawEvent {
+	if seq < c.nextSeq[t] {
+		return rawOf(c.store.Get(event.ID{Trace: t, Index: seq}), c.store.RegisteredName(t))
+	}
+	return c.pending[t][seq]
+}
+
+// rawOf rebuilds the raw report a delivered event was stamped from;
+// name is its trace's registered name. Every field it reads is fixed at
+// delivery (only Partner is patched later), so it is safe on events of
+// an order prefix captured under the lock and read outside it.
+func rawOf(e *event.Event, name string) RawEvent {
+	return RawEvent{Trace: name, Seq: e.ID.Index, Kind: e.Kind, Type: e.Type, Text: e.Text, MsgID: e.MsgID}
 }
 
 // drain delivers everything deliverable starting from trace t.
@@ -917,6 +945,7 @@ func (c *Collector) deliver(t event.TraceID, raw RawEvent) {
 		Text:    raw.Text,
 		VC:      clock.Clone(),
 		Partner: partner,
+		MsgID:   raw.MsgID,
 	}
 	if !partner.IsZero() {
 		if sendEv := c.store.Get(partner); sendEv != nil {
@@ -941,9 +970,6 @@ func (c *Collector) deliver(t event.TraceID, raw RawEvent) {
 	c.delivered++
 	c.tel.delivered.Inc()
 	c.order = append(c.order, e)
-	if c.retainLog {
-		c.log = append(c.log, raw)
-	}
 	for _, h := range c.handlers {
 		h(e)
 	}

@@ -39,17 +39,20 @@ const (
 )
 
 // snapshotState is one consistent cut of the collector's replayable
-// state, captured under the collector lock and encodable outside it
-// (the captured slices are immutable prefixes).
+// state, captured under the collector lock and encodable outside it:
+// events is an immutable prefix of the linearization, and each raw
+// event is rebuilt from it while encoding (see rawOf).
 type snapshotState struct {
-	traces  []string
-	events  []RawEvent // delivered, in delivery order
-	pending []RawEvent // buffered, sorted by (trace name, seq)
+	traces  []string       // header names, in trace-ID order
+	names   []string       // registered names, indexed by trace ID
+	events  []*event.Event // delivered, in delivery order
+	pending []RawEvent     // buffered, sorted by (trace name, seq)
 }
 
 // snapshotStateLocked captures the current replayable state. The
-// collector must retain its log (and have retained it from the first
-// delivery, or the cut would be silently incomplete).
+// collector must have enabled RetainLog before the first delivery, and
+// no event may have been evicted, or the cut would be silently
+// incomplete.
 func (c *Collector) snapshotStateLocked() (snapshotState, error) {
 	if !c.retainLog {
 		return snapshotState{}, fmt.Errorf("poet: dump requires RetainLog before collection")
@@ -59,12 +62,18 @@ func (c *Collector) snapshotStateLocked() (snapshotState, error) {
 			"poet: retention was enabled after %d events were already delivered; a dump would silently miss them (call RetainLog before reporting begins)",
 			c.retainedFrom)
 	}
+	if c.trimmedFrom > 0 {
+		return snapshotState{}, fmt.Errorf("poet: SetRetention evicted %d delivered events; a dump would silently miss them", c.trimmedFrom)
+	}
+	n := c.store.NumTraces()
 	st := snapshotState{
-		traces: make([]string, c.store.NumTraces()),
-		events: c.log[:len(c.log):len(c.log)],
+		traces: make([]string, n),
+		names:  make([]string, n),
+		events: c.order[:len(c.order):len(c.order)],
 	}
 	for i := range st.traces {
 		st.traces[i] = c.store.TraceName(event.TraceID(i))
+		st.names[i] = c.store.RegisteredName(event.TraceID(i))
 	}
 	for _, m := range c.pending {
 		for _, raw := range m {
@@ -92,8 +101,9 @@ func encodeSnapshot(w io.Writer, st snapshotState) error {
 	}); err != nil {
 		return fmt.Errorf("poet: encoding dump header: %w", err)
 	}
-	for i := range st.events {
-		if err := enc.Encode(&st.events[i]); err != nil {
+	for i, e := range st.events {
+		raw := rawOf(e, st.names[e.ID.Trace])
+		if err := enc.Encode(&raw); err != nil {
 			return fmt.Errorf("poet: encoding dump event %d: %w", i, err)
 		}
 	}

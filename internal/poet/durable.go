@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -494,32 +495,54 @@ func (r *recordReader) string() string {
 	return s
 }
 
-// replayRecord decodes one WAL record and applies it to the collector.
-func (d *Durability) replayRecord(p []byte) error {
+// errMalformedRecord is wrapped by every WAL record that does not
+// decode: empty, of an unknown record kind, or with a truncated or
+// out-of-range field.
+var errMalformedRecord = errors.New("poet: malformed WAL record")
+
+// decodeRecord parses one WAL record payload. An event record yields
+// the raw event; a trace record yields isTrace and the registered name
+// in raw.Trace. It checks structure only: whether the collector accepts
+// the event (its kind, its message id) is Report's call on replay.
+func decodeRecord(p []byte) (raw RawEvent, isTrace bool, err error) {
 	if len(p) == 0 {
-		return fmt.Errorf("poet: empty WAL record")
+		return RawEvent{}, false, fmt.Errorf("%w: empty", errMalformedRecord)
 	}
 	r := &recordReader{p: p[1:]}
 	switch p[0] {
 	case recEvent:
-		raw := RawEvent{Trace: r.string()}
-		raw.Seq = int(r.uvarint())
+		raw.Trace = r.string()
+		seq := r.uvarint()
 		raw.Kind = event.Kind(r.uvarint())
 		raw.MsgID = r.uvarint()
 		raw.Type = r.string()
 		raw.Text = r.string()
-		if r.bad {
-			return fmt.Errorf("poet: malformed WAL event record")
+		if r.bad || seq == 0 || seq > math.MaxInt {
+			return RawEvent{}, false, fmt.Errorf("%w: bad event record", errMalformedRecord)
 		}
-		return d.c.Report(raw)
+		raw.Seq = int(seq)
+		return raw, false, nil
 	case recTrace:
-		name := r.string()
-		if r.bad || name == "" {
-			return fmt.Errorf("poet: malformed WAL trace record")
+		raw.Trace = r.string()
+		if r.bad || raw.Trace == "" {
+			return RawEvent{}, false, fmt.Errorf("%w: bad trace record", errMalformedRecord)
 		}
-		d.c.RegisterTrace(name)
+		return raw, true, nil
+	default:
+		return RawEvent{}, false, fmt.Errorf("%w: unknown record kind %d", errMalformedRecord, p[0])
+	}
+}
+
+// replayRecord decodes one WAL record and applies it to the collector.
+func (d *Durability) replayRecord(p []byte) error {
+	raw, isTrace, err := decodeRecord(p)
+	switch {
+	case err != nil:
+		return err
+	case isTrace:
+		d.c.RegisterTrace(raw.Trace)
 		return nil
 	default:
-		return fmt.Errorf("poet: unknown WAL record kind %d", p[0])
+		return d.c.Report(raw)
 	}
 }

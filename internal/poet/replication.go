@@ -53,51 +53,92 @@ const defaultReplAckWait = 500 * time.Millisecond
 // replication): the standby should promote.
 var ErrPrimaryDrained = errors.New("poet: primary drained")
 
-// repRecord is one entry of the replication log: an explicit trace
-// registration (Trace non-empty), a peer-shard send record applied by
-// SupplyRemoteSend (Remote non-nil), or an ingested event. Remote
-// records matter on a sharded primary: delivery order depends on when
-// remote sends became available, so the standby must apply them at the
-// same position of the record stream to rebuild the identical
-// linearization.
-type repRecord struct {
-	Trace  string
-	Event  RawEvent
-	Remote *shardExport
+// repRef is one entry of the replication log: a pointer-free reference
+// into state the collector keeps anyway, so the log costs 16 bytes per
+// record instead of a second copy of every event.
+//
+//   - An ingested event is (its trace, its seq), seq >= 1. It resolves
+//     from the store once delivered and from pending while held.
+//   - An explicit trace registration is (the trace, 0). It resolves
+//     from the store's trace names.
+//   - A peer-shard send applied by SupplyRemoteSend is (-1, its MsgID).
+//     It resolves from remoteSends. Remote records matter on a sharded
+//     primary: delivery order depends on when remote sends became
+//     available, so the standby must apply them at the same position of
+//     the record stream to rebuild the identical linearization.
+type repRef struct {
+	trace event.TraceID
+	n     uint64
 }
 
-// isEvent reports whether the record is an ingested event — the only
-// record kind replication offsets count.
-func (r repRecord) isEvent() bool { return r.Trace == "" && r.Remote == nil }
+// remoteRefTrace marks a remote-send reference.
+const remoteRefTrace event.TraceID = -1
+
+func (r repRef) isRemote() bool { return r.trace == remoteRefTrace }
+
+// isEvent reports whether the reference names an ingested event — the
+// only record kind replication offsets count.
+func (r repRef) isEvent() bool { return r.trace >= 0 && r.n > 0 }
+
+// repRecord is a resolved replication record, ready to encode: Event
+// for an event reference, Trace for a registration, Remote for a
+// peer-shard send.
+type repRecord struct {
+	ref    repRef
+	Trace  string
+	Event  RawEvent
+	Remote shardExport
+}
+
+// replBatch bounds the records one replRecordsFrom call resolves, so a
+// replica resuming from zero never holds the collector lock across the
+// whole history.
+const replBatch = 1024
+
+// growthSignal wakes goroutines parked on a log's growth or a state
+// change. The channel is made only when someone asks to wait, so an
+// append nobody waits for allocates nothing. Guarded by the collector's
+// mu.
+type growthSignal struct{ ch chan struct{} }
+
+// waitLocked returns a channel the next notifyLocked closes.
+func (g *growthSignal) waitLocked() <-chan struct{} {
+	if g.ch == nil {
+		g.ch = make(chan struct{})
+	}
+	return g.ch
+}
+
+// notifyLocked wakes every current waiter.
+func (g *growthSignal) notifyLocked() {
+	if g.ch != nil {
+		close(g.ch)
+		g.ch = nil
+	}
+}
 
 // replState is the collector's replication bookkeeping, guarded by the
-// collector's mu.
+// collector's mu. Its signal fires whenever the log grows or a
+// confirmation/attachment changes, waking record senders and barrier
+// waiters.
 type replState struct {
+	growthSignal
 	// log is the append-only ingestion-ordered record stream.
-	log []repRecord
+	log []repRef
 	// events counts the event records in log (the offset currency).
 	events int
 	// confirmed maps attached replica session ids to the event-record
 	// count each has acknowledged applying.
 	confirmed map[int]int
 	nextSess  int
-	// ch is closed and replaced whenever the log grows or a
-	// confirmation/attachment changes, waking record senders and
-	// barrier waiters (the channel-swap notification pattern).
-	ch chan struct{}
 }
 
-func (r *replState) appendLocked(rec repRecord) {
-	r.log = append(r.log, rec)
-	if rec.isEvent() {
+func (r *replState) appendLocked(ref repRef) {
+	r.log = append(r.log, ref)
+	if ref.isEvent() {
 		r.events++
 	}
 	r.notifyLocked()
-}
-
-func (r *replState) notifyLocked() {
-	close(r.ch)
-	r.ch = make(chan struct{})
 }
 
 func (r *replState) minConfirmed() int {
@@ -131,7 +172,7 @@ func (c *Collector) EnableReplicationLog() error {
 	if c.ingests > 0 {
 		return errors.New("poet: EnableReplicationLog must be called before any event is ingested")
 	}
-	c.repl = &replState{confirmed: make(map[int]int), ch: make(chan struct{})}
+	c.repl = &replState{confirmed: make(map[int]int)}
 	return nil
 }
 
@@ -222,7 +263,7 @@ func (c *Collector) replWait(pos int, timeout time.Duration) bool {
 			c.mu.Unlock()
 			return true
 		}
-		ch := r.ch
+		ch := r.waitLocked()
 		c.mu.Unlock()
 		d := time.Until(deadline)
 		if d <= 0 {
@@ -260,7 +301,7 @@ func (c *Collector) replBarrier() {
 			c.mu.Unlock()
 			return
 		}
-		ch := r.ch
+		ch := r.waitLocked()
 		c.mu.Unlock()
 		<-ch
 	}
@@ -293,18 +334,40 @@ func (c *Collector) replResumeIndex(events int) (int, error) {
 	return len(c.repl.log), nil
 }
 
-// replRecordsFrom returns the record suffix starting at log index idx,
-// the index just past it, the current ingest head, and the channel that
-// signals growth (for an empty suffix). Records are immutable once
-// appended, so the returned slice is safe to read without copying.
-func (c *Collector) replRecordsFrom(idx int) (recs []repRecord, next, head int, ch <-chan struct{}) {
+// replRecordsFrom resolves up to replBatch records starting at log
+// index idx into buf, and returns them with the index just past them,
+// the current ingest head, and — for an empty batch — the channel that
+// signals growth. The resolved records copy no event data (their
+// strings are the store's), so they encode safely outside the lock.
+func (c *Collector) replRecordsFrom(idx int, buf []repRecord) (recs []repRecord, next, head int, ch <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r := c.repl
-	if idx < len(r.log) {
-		recs = r.log[idx:len(r.log):len(r.log)]
+	next = min(len(r.log), idx+replBatch)
+	recs = buf[:0]
+	for _, ref := range r.log[idx:next] {
+		recs = append(recs, c.resolveLocked(ref))
 	}
-	return recs, len(r.log), c.ingests, r.ch
+	if len(recs) == 0 {
+		ch = r.waitLocked()
+	}
+	return recs, next, c.ingests, ch
+}
+
+// resolveLocked turns a replication-log reference back into the record
+// it names.
+func (c *Collector) resolveLocked(ref repRef) repRecord {
+	rec := repRecord{ref: ref}
+	switch {
+	case ref.isRemote():
+		rs := c.remoteSends[ref.n]
+		rec.Remote = shardExport{MsgID: ref.n, ID: rs.id, VC: rs.vc}
+	case ref.isEvent():
+		rec.Event = c.rawEventLocked(ref.trace, int(ref.n))
+	default:
+		rec.Trace = c.store.RegisteredName(ref.trace)
+	}
+	return rec
 }
 
 // ---------------------------------------------------------------------
@@ -379,24 +442,26 @@ func (s *Server) handleReplica(conn net.Conn, dec *gob.Decoder, h hello) error {
 	denc := &deltaEncoder{}
 	hb := time.NewTimer(s.hbInterval)
 	defer hb.Stop()
+	var buf []repRecord
 	for {
-		recs, next, head, ch := c.replRecordsFrom(idx)
+		recs, next, head, ch := c.replRecordsFrom(idx, buf)
+		buf = recs
 		// The whole batch leaves in one flush, before parking.
 		err := fw.Batch(func(queue func(any) error) error {
 			for i := range recs {
 				msg := wireMsg{Head: head}
-				switch {
-				case recs[i].Trace != "":
-					msg.Trace = &wireTrace{Name: recs[i].Trace}
-				case recs[i].Remote != nil:
-					rs := recs[i].Remote
+				switch ref := recs[i].ref; {
+				case ref.isRemote():
+					rs := &recs[i].Remote
 					w := toWireDelta(&event.Event{ID: rs.ID, VC: rs.VC}, denc)
 					w.MsgID = rs.MsgID
 					msg.Shard = w
-				default:
+				case ref.isEvent():
 					msg.Raw = &recs[i].Event
 					s.replicaEvents.Add(1)
 					s.tel.replicaEvents.Inc()
+				default:
+					msg.Trace = &wireTrace{Name: recs[i].Trace}
 				}
 				if err := queue(&msg); err != nil {
 					return err

@@ -70,14 +70,13 @@ type remoteSend struct {
 // shardExportState is the export log plus its growth notification,
 // guarded by the collector's mu.
 type shardExportState struct {
+	growthSignal
 	log []shardExport
-	ch  chan struct{}
 }
 
 func (x *shardExportState) appendLocked(rec shardExport) {
 	x.log = append(x.log, rec)
-	close(x.ch)
-	x.ch = make(chan struct{})
+	x.notifyLocked()
 }
 
 // EnableSharding makes the collector shard shardID of a numShards-wide
@@ -109,7 +108,7 @@ func (c *Collector) EnableSharding(shardID, numShards int) error {
 	c.numShards = numShards
 	c.remoteSends = make(map[uint64]remoteSend)
 	c.heldRemote = make(map[uint64]time.Time)
-	c.shardX = &shardExportState{ch: make(chan struct{})}
+	c.shardX = &shardExportState{}
 	return nil
 }
 
@@ -217,7 +216,7 @@ func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Clock)
 	}
 	c.remoteSends[msgID] = remoteSend{id: id, vc: vc}
 	if c.repl != nil {
-		c.repl.appendLocked(repRecord{Remote: &shardExport{MsgID: msgID, ID: id, VC: vc}})
+		c.repl.appendLocked(repRef{trace: remoteRefTrace, n: msgID})
 	}
 	c.tel.shardRemote.Inc()
 	delete(c.heldRemote, msgID)
@@ -241,8 +240,10 @@ func (c *Collector) shardRecordsFrom(idx int) (recs []shardExport, next int, ch 
 	x := c.shardX
 	if idx < len(x.log) {
 		recs = x.log[idx:len(x.log):len(x.log)]
+	} else {
+		ch = x.waitLocked()
 	}
-	return recs, len(x.log), x.ch
+	return recs, len(x.log), ch
 }
 
 // ---------------------------------------------------------------------

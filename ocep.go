@@ -174,6 +174,11 @@ var ErrSessionRejected = poet.ErrSessionRejected
 // the load back onto the reporter's buffer instead of surfacing it.
 var ErrOverloaded = poet.ErrOverloaded
 
+// ErrInvalidKind is wrapped by Collector.Report when an event's Kind is
+// not a defined kind (the zero value included); the TCP server rejects
+// such an event and ends the reporter's session.
+var ErrInvalidKind = poet.ErrInvalidKind
+
 // WAL fsync policies for DurableOptions.Fsync.
 const (
 	// SyncAlways fsyncs before an append commits: an acknowledged event
@@ -302,8 +307,10 @@ type config struct {
 // nil when WithMetrics was not given; the nil receivers no-op.
 type monitorMetrics struct {
 	// events counts events consumed by the matcher
-	// (ocep_monitor_events_total) — the counter tests wait on to know
-	// the monitor has caught up with a delivered stream.
+	// (ocep_monitor_events_total). It moves inside the monitor lock,
+	// before Run hands the event's matches to the match handler, so a
+	// caller waiting on it for the monitor to catch up must also wait
+	// for the handler to have received Stats().Reported matches.
 	events *telemetry.Counter
 	// matches counts reported matches (ocep_monitor_matches_total).
 	matches *telemetry.Counter

@@ -262,8 +262,8 @@ func TestShardChaosPartitionHealsToCleanRun(t *testing.T) {
 				p.SetLatency(0)
 				p.SetChunk(0, 0)
 			}
-			waitCounter(t, "monitor to consume the full merged stream",
-				reg.FindCounter("ocep_monitor_events_total"), int64(len(events)))
+			waitMonitorCaughtUp(t, "monitor to consume the full merged stream",
+				reg, mon, int64(len(events)), &mu, &matches)
 
 			// The healed tier is ready again, and the merge accounted the
 			// stall without ever degrading: events were held, diagnosed,

@@ -123,8 +123,8 @@ func runShardedTier(t *testing.T, tc failoverCase, events []ocep.RawEvent, pools
 		}
 	}
 	flushAll("at end of stream")
-	waitCounter(t, "monitor to consume the full merged stream",
-		reg.FindCounter("ocep_monitor_events_total"), int64(len(events)))
+	waitMonitorCaughtUp(t, "monitor to consume the full merged stream",
+		reg, mon, int64(len(events)), &mu, &matches)
 
 	// The caller shuts the shards down; Run must return nil on their
 	// End frames.

@@ -73,6 +73,30 @@ func waitCounter(t *testing.T, what string, c *ocep.MetricCounter, target int64)
 	}
 }
 
+// waitMonitorCaughtUp blocks until the monitor has consumed target
+// events (ocep_monitor_events_total) and its match handler has received
+// every match the monitor reported for them. The counter alone is not
+// enough: Run counts an event inside the monitor lock but calls the
+// handler only after unlocking, so the last event's matches can trail
+// the counter.
+func waitMonitorCaughtUp(t *testing.T, what string, reg *ocep.Registry, mon *ocep.Monitor, target int64, mu *sync.Mutex, matches *[]ocep.Match) {
+	t.Helper()
+	waitCounter(t, what, reg.FindCounter("ocep_monitor_events_total"), target)
+	want := mon.Stats().Reported
+	handled := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(*matches)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for handled() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s: match handler has %d of %d reported matches", what, handled(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // runCleanBaseline feeds the captured sequence to an in-process
 // collector with a synchronously attached monitor — no wire, no faults.
 func runCleanBaseline(t *testing.T, patternSrc string, events []ocep.RawEvent) (matchSigs, covSigs []string) {
@@ -198,7 +222,7 @@ func runFaultyWire(t *testing.T, patternSrc string, events []ocep.RawEvent) (mat
 		t.Fatalf("faulty flush: %v", err)
 	}
 	waitCounter(t, "faulty delivery", reg.FindCounter("poet_delivered_events_total"), int64(len(events)))
-	waitCounter(t, "monitor to consume the stream", reg.FindCounter("ocep_monitor_events_total"), int64(len(events)))
+	waitMonitorCaughtUp(t, "monitor to consume the stream", reg, mon, int64(len(events)), &mu, &matches)
 
 	// Graceful shutdown: the server drains and sends End, the monitor's
 	// Run returns nil. An error here means the faults leaked out.
